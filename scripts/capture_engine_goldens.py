@@ -2,13 +2,14 @@
 
 Runs the paper's named sequences over a fixed set of deterministic
 generated AIGs — one per fuzz modality (mtm / control / deep) — under
-both engines and both kernel backends, and records the AIGER dump, the
-modeled time (full float precision via ``repr``) and the headline
-metrics counters of every run.
+both engines, and records the AIGER dump, the modeled time (full float
+precision via ``repr``) and the headline metrics counters of every
+run.  Each run also records the kernel implementation name
+(:func:`repro.parallel.backend.current_backend`).
 
 ``tests/test_engine.py`` replays the same runs through the pass engine
 and asserts bit-identical dumps, modeled times and counters, so the
-goldens pin the exact pre-refactor behavior of ``run_sequence``.  The
+goldens pin the exact pre-refactor behavior of the script runner.  The
 file is regenerated only when behavior is *intended* to change::
 
     PYTHONPATH=src python scripts/capture_engine_goldens.py
@@ -28,10 +29,10 @@ import sys
 from pathlib import Path
 
 from repro import observe
-from repro.algorithms.sequences import run_sequence
 from repro.aig.io_aiger import dump_aag
 from repro.benchgen.control import random_control
 from repro.benchgen.random_aig import mtm_random
+from repro.engine import run_script
 from repro.parallel import backend
 
 OUTPUT = Path(__file__).resolve().parent.parent / (
@@ -78,38 +79,30 @@ def golden_cases() -> list[tuple[str, object]]:
 
 
 def capture() -> dict:
-    backends = ["python"]
-    if backend.HAS_NUMPY:
-        backends.append("numpy")
     runs = []
     for case_name, aig in golden_cases():
         for script in SCRIPTS:
             for engine in ("seq", "gpu"):
-                for backend_name in backends:
-                    backend.set_backend(backend_name)
-                    observe.enable()
-                    try:
-                        result = run_sequence(
-                            aig.clone(), script, engine=engine
-                        )
-                    finally:
-                        _, registry = observe.disable()
-                        backend.set_backend(None)
-                    counters = registry.snapshot()["counters"]
-                    runs.append(
-                        {
-                            "case": case_name,
-                            "script": script,
-                            "engine": engine,
-                            "backend": backend_name,
-                            "dump": dump_aag(result.aig),
-                            "modeled_time": repr(result.modeled_time()),
-                            "counters": {
-                                key: counters.get(key, 0)
-                                for key in GOLDEN_COUNTERS
-                            },
-                        }
-                    )
+                observe.enable()
+                try:
+                    result = run_script(aig.clone(), script, engine=engine)
+                finally:
+                    _, registry = observe.disable()
+                counters = registry.snapshot()["counters"]
+                runs.append(
+                    {
+                        "case": case_name,
+                        "script": script,
+                        "engine": engine,
+                        "backend": backend.current_backend(),
+                        "dump": dump_aag(result.aig),
+                        "modeled_time": repr(result.modeled_time()),
+                        "counters": {
+                            key: counters.get(key, 0)
+                            for key in GOLDEN_COUNTERS
+                        },
+                    }
+                )
     return {"format": "repro.engine-goldens/1", "runs": runs}
 
 
@@ -127,14 +120,12 @@ def check(document: dict) -> int:
         return 1
     captured = {_run_key(run): run for run in document["runs"]}
     pinned = {_run_key(run): run for run in committed.get("runs", [])}
-    # Runs for backends unavailable in this environment (no NumPy) are
-    # skipped rather than reported missing.
-    pinned = {
-        key: run for key, run in pinned.items() if key in captured
-    }
     failures = []
     for key, run in sorted(pinned.items()):
-        fresh = captured[key]
+        fresh = captured.get(key)
+        if fresh is None:
+            failures.append(f"{'-'.join(key)}: no longer captured")
+            continue
         for field in ("dump", "modeled_time", "counters"):
             if fresh[field] != run[field]:
                 failures.append(f"{'-'.join(key)}: {field} drifted")

@@ -5,9 +5,9 @@ Run:  python scripts_run_exhibits.py > full_exhibits.txt
 
 import time
 
-from repro.algorithms.sequences import run_sequence
 from repro.benchgen.arith import adder
 from repro.benchgen.suite import SUITE_ORDER
+from repro.engine import run_script
 from repro.experiments.tables import (
     run_fig7,
     run_fig8,
@@ -62,8 +62,8 @@ def main() -> None:
     tiny = adder(2)
     meter = SeqMeter()
     machine = ParallelMachine()
-    run_sequence(tiny, "rf_resyn", engine="seq", meter=meter)
-    run_sequence(tiny, "rf_resyn", engine="gpu", machine=machine)
+    run_script(tiny, "rf_resyn", engine="seq", meter=meter)
+    run_script(tiny, "rf_resyn", engine="gpu", machine=machine)
     print(
         f"tiny adder ({tiny.num_ands} nodes): accel "
         f"{meter.time() / machine.total_time():.2f}x (below crossover)"

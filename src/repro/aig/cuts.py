@@ -201,7 +201,7 @@ def _expand_lut(positions: tuple[int, ...], num_vars: int) -> list[int]:
     ``out[row] = t[sum_j ((row >> positions[j]) & 1) << j]``.
 
     Built once per (positions, num_vars) pair with NumPy — the only
-    caller is the composed-table enumeration used by the NumPy backend.
+    caller is the composed-table enumeration of the rewriting match.
     """
     import numpy as np
 

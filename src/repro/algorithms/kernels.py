@@ -20,8 +20,7 @@ with the scalar pass code as the semantic reference:
   fixpoint over whole item sets) for ``par_rewrite``'s match stage.
 
 **Fallback gate.** :func:`enabled_for` turns the kernels on only when
-the numpy backend is active, the graph columns are NumPy-backed, the
-graph is at least :data:`KERNEL_CUTOFF` live ANDs, and neither the
+the graph is at least :data:`KERNEL_CUTOFF` live ANDs and neither the
 race sanitizer nor the seeded-mutation registry is armed (both hook
 the scalar call sites).  Below the gate the scalar paths run
 unchanged, which keeps the engine-parity goldens and the CEC fuzzer
@@ -66,9 +65,7 @@ def enabled_for(aig: Aig) -> bool:
     path.
     """
     return (
-        backend.use_numpy()
-        and aig._f0c.numpy
-        and aig.num_ands >= KERNEL_CUTOFF
+        aig.num_ands >= KERNEL_CUTOFF
         and not sanitizer.enabled
         and not mutations.armed
     )

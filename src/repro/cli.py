@@ -22,15 +22,21 @@ exhibits (see EXPERIMENTS.md).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro import observe
-from repro.aig.io_aiger import read_aiger, write_aag
+from repro.aig.aig import Aig
+from repro.aig.io_aiger import AigerError, read_aiger, write_aag
 from repro.benchgen.suite import SUITE_ORDER, load_benchmark
 from repro.engine import list_commands, list_passes, parse_script, run_script
 from repro.cec.equivalence import CecStatus, check_equivalence
 from repro.experiments import tables
 from repro.observe import export
+
+
+class CliError(Exception):
+    """A user-facing failure: printed as one ``error:`` line."""
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -41,7 +47,19 @@ def main(argv: list[str] | None = None) -> int:
     if handler is None:
         parser.print_help()
         return 2
-    return handler(args)
+    try:
+        return handler(args)
+    except CliError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
+
+
+def _read(path: str) -> Aig:
+    """Read an AIGER file; malformed input becomes a :class:`CliError`."""
+    try:
+        return read_aiger(path)
+    except AigerError as error:
+        raise CliError(f"{path}: {error}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -102,27 +120,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("input")
     p_verify.add_argument("-c", "--script", default="resyn2")
     p_verify.add_argument("--cut-size", type=int, default=12)
-    p_verify.add_argument(
-        "--backend", choices=["env", "python", "numpy"], default="env",
-        help="kernel backend (default: whatever REPRO_BACKEND resolves)",
-    )
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_fuzz = sub.add_parser(
         "fuzz",
         help="differential fuzzing: random AIGs through random pass "
-        "scripts under all backends and sanitizer modes, CEC-gated",
+        "scripts in both sanitizer modes, CEC-gated",
     )
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument(
         "--budget", type=int, default=30, help="number of fuzz cases"
-    )
-    p_fuzz.add_argument(
-        "--backend",
-        choices=["both", "python", "numpy", "env"],
-        default="both",
-        help="backends to differentiate ('both' runs every available "
-        "one; 'env' pins whatever REPRO_BACKEND resolves)",
     )
     p_fuzz.add_argument(
         "-v", "--verbose", action="store_true",
@@ -170,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    aig = read_aiger(args.input)
+    aig = _read(args.input)
     stats = aig.stats()
     print(
         f"{aig.name}: pis={stats['pis']} pos={stats['pos']} "
@@ -202,7 +209,13 @@ def _cmd_opt(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    aig = read_aiger(args.input)
+    if args.trace:
+        # Fail before the run: the trace is written only at the end,
+        # and a missing directory would throw the optimization away.
+        trace_dir = os.path.dirname(os.path.abspath(args.trace))
+        if not os.path.isdir(trace_dir):
+            raise CliError(f"trace directory does not exist: {trace_dir}")
+    aig = _read(args.input)
     before = aig.stats()
     observing = bool(args.trace or args.metrics)
     if observing:
@@ -268,8 +281,8 @@ def _print_pass_registry() -> None:
 
 
 def _cmd_cec(args: argparse.Namespace) -> int:
-    left = read_aiger(args.left)
-    right = read_aiger(args.right)
+    left = _read(args.left)
+    right = _read(args.right)
     verdict = check_equivalence(left, right)
     print(f"equivalence: {verdict.status.value}")
     if verdict.counterexample is not None:
@@ -281,19 +294,14 @@ def _cmd_cec(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.verify.fuzz import run_case
 
-    aig = read_aiger(args.input)
-    backend_name = None if args.backend == "env" else args.backend
+    aig = _read(args.input)
     outcome = run_case(
         aig,
         args.script,
-        backend_name=backend_name,
         name=args.input,
         max_cut_size=args.cut_size,
     )
-    print(
-        f"verify {args.input} [{args.script}] "
-        f"backend={outcome.backend}"
-    )
+    print(f"verify {args.input} [{args.script}]")
     print(f"  sanitizer conflicts: {outcome.conflicts}")
     for key in sorted(outcome.counters):
         if key == "conflicts":
@@ -309,19 +317,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.parallel import backend as parallel_backend
     from repro.verify.fuzz import run_fuzz
 
-    if args.backend == "both":
-        backends = None
-    elif args.backend == "env":
-        backends = [parallel_backend.current_backend()]
-    else:
-        backends = [args.backend]
     report = run_fuzz(
         seed=args.seed,
         budget=args.budget,
-        backends=backends,
         progress=print if args.verbose else None,
     )
     print(report.format())
@@ -331,7 +331,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     from repro.aig.export import to_dot, to_verilog
 
-    aig = read_aiger(args.input)
+    aig = _read(args.input)
     text = to_verilog(aig) if args.format == "verilog" else to_dot(aig)
     with open(args.output, "w", encoding="ascii") as handle:
         handle.write(text)
@@ -343,7 +343,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
     from repro.mapping.choices import map_with_choices
     from repro.mapping.lut_map import lut_map, verify_mapping
 
-    aig = read_aiger(args.input)
+    aig = _read(args.input)
     if args.choices:
         optimized = run_script(aig, "resyn2", engine="gpu").aig
         network, union = map_with_choices([optimized, aig], k=args.k)

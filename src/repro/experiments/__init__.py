@@ -9,6 +9,7 @@ from repro.experiments.metrics import (
 from repro.experiments.tables import (
     CUT_SIZE,
     QUICK_NAMES,
+    gpu_refactor_repeated,
     run_fig7,
     run_fig8,
     run_table1,
@@ -22,6 +23,7 @@ __all__ = [
     "format_seconds",
     "format_table",
     "geomean",
+    "gpu_refactor_repeated",
     "run_fig7",
     "run_fig8",
     "run_table1",

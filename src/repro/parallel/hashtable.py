@@ -16,8 +16,11 @@ below 0.001%, and the simulation is simply exact.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro import observe
 from repro.aig.literals import lit_pair_key
+from repro.parallel import vec
 from repro.verify import sanitizer
 
 _EMPTY = -1
@@ -34,10 +37,16 @@ def _hash_key(key0: int, key1: int) -> int:
 
 
 class HashTable:
-    """Open-addressing hash table from (int, int) keys to int values."""
+    """Open-addressing hash table from (int, int) keys to int values.
 
-    #: Overridden by the NumPy twin (``repro.parallel.vec.VecHashTable``).
-    IS_VEC = False
+    Storage is three int64 slot arrays.  The single-item operations
+    index them through *memoryview* twins (``_key0``/``_key1``/
+    ``_value``), which speak plain Python ints at close to list speed
+    where ndarray scalar indexing would box ``np.int64`` on every
+    probe.  The batched operations run whole-array code at or above
+    :data:`repro.parallel.vec._SCALAR_CUTOFF` items and the per-item
+    loop below it — same layout, same probe counts, same counters.
+    """
 
     def __init__(self, expected: int = 1024, load_factor: float = 0.5) -> None:
         if not 0.0 < load_factor < 1.0:
@@ -46,10 +55,22 @@ class HashTable:
         capacity = 16
         while capacity * load_factor < max(expected, 1):
             capacity *= 2
-        self._key0 = [_EMPTY] * capacity
-        self._key1 = [_EMPTY] * capacity
-        self._value = [_EMPTY] * capacity
+        self._alloc_slots(capacity)
         self._size = 0
+
+    def _alloc_slots(self, capacity: int) -> None:
+        """Allocate the slot arrays plus their memoryview twins.
+
+        ``_acidx`` holds, per slot, the batch position of a tentative
+        occupant during stable placement (-1 outside it).
+        """
+        self._akey0 = np.full(capacity, _EMPTY, dtype=np.int64)
+        self._akey1 = np.full(capacity, _EMPTY, dtype=np.int64)
+        self._avalue = np.full(capacity, _EMPTY, dtype=np.int64)
+        self._acidx = np.full(capacity, -1, dtype=np.int64)
+        self._key0 = memoryview(self._akey0)
+        self._key1 = memoryview(self._akey1)
+        self._value = memoryview(self._avalue)
 
     @property
     def size(self) -> int:
@@ -151,64 +172,158 @@ class HashTable:
             slot = (slot + 1) & mask
             probes += 1
 
-    def _insert_raw(self, key0: int, key1: int, value: int) -> int:
-        """Metric-free insert of a known-fresh key; returns probes.
-
-        Used by rehashing only: every dumped key is unique, so no hit
-        branch is needed, and the probes must not be billed as regular
-        insert work (they are maintenance, counted separately).
-        """
-        mask = len(self._value) - 1
-        slot = _hash_key(key0, key1) & mask
-        probes = 1
-        while self._value[slot] != _EMPTY:
-            slot = (slot + 1) & mask
-            probes += 1
-        self._key0[slot] = key0
-        self._key1[slot] = key1
-        self._value[slot] = value
-        self._size += 1
-        return probes
-
     # ------------------------------------------------------------------
     # Batched operations
     # ------------------------------------------------------------------
 
-    def insert_batch(
-        self, keys: list[tuple[int, int]], values: list[int]
-    ) -> tuple[list[int], list[int]]:
+    def insert_batch(self, keys, values) -> tuple[list[int], list[int]]:
         """Batched insert; returns (resident values, per-item probes)."""
-        out = []
-        works = []
-        for (key0, key1), value in zip(keys, values):
-            resident, probes = self.insert(key0, key1, value)
-            out.append(resident)
-            works.append(probes)
-        return out, works
+        n = len(values)
+        if n == 0:
+            return [], []
+        if n < vec._SCALAR_CUTOFF:
+            out = []
+            works = []
+            for (k0, k1), value in zip(keys, values):
+                resident, probes = self.insert(int(k0), int(k1), int(value))
+                out.append(int(resident))
+                works.append(probes)
+            return out, works
+        key0, key1 = vec.as_key_arrays(keys)
+        vals = np.asarray(values, dtype=np.int64)
+        res = np.empty(n, dtype=np.int64)
+        prb = np.empty(n, dtype=np.int64)
+        inserted = 0
+        start = 0
+        while start < n:
+            room = self._room()
+            if room <= 0:
+                self._grow()
+                continue
+            stop = min(n, start + room)
+            ck0 = key0[start:stop]
+            ck1 = key1[start:stop]
+            cvals = vals[start:stop]
+            _, rep_pos, reps = vec.group_keys(ck0, ck1)
+            hit, slot, path = self._stable_place(
+                ck0[reps], ck1[reps], cvals[reps]
+            )
+            inserted += int((~hit).sum())
+            self._size += int((~hit).sum())
+            # Every group member returns its representative's resident
+            # value and walks its representative's exact path.
+            res[start:stop] = self._avalue[slot][rep_pos]
+            prb[start:stop] = path[rep_pos]
+            start = stop
+        if observe.enabled:
+            vec.count_nonzero("hashtable.inserts", inserted)
+            vec.count_nonzero("hashtable.insert_hits", n - inserted)
+            vec.count_nonzero("hashtable.probes", int(prb.sum()))
+        return res.tolist(), prb.tolist()
 
-    def lookup_batch(
-        self, keys: list[tuple[int, int]]
-    ) -> tuple[list[int | None], list[int]]:
+    def lookup_batch(self, keys) -> tuple[list[int | None], list[int]]:
         """Batched lookup; returns (values, per-item probes)."""
-        out = []
-        works = []
-        for key0, key1 in keys:
-            value, probes = self.lookup(key0, key1)
-            out.append(value)
-            works.append(probes)
-        return out, works
+        n = len(keys)
+        if n == 0:
+            return [], []
+        if n < vec._SCALAR_CUTOFF:
+            out = []
+            works = []
+            for k0, k1 in keys:
+                value, probes = self.lookup(int(k0), int(k1))
+                out.append(None if value is None else int(value))
+                works.append(probes)
+            return out, works
+        key0, key1 = vec.as_key_arrays(keys)
+        hit, slot, probes = vec.probe_sim(
+            self._akey0,
+            self._akey1,
+            self._avalue,
+            self._avalue.shape[0] - 1,
+            key0,
+            key1,
+        )
+        if observe.enabled:
+            vec.count_nonzero("hashtable.lookups", n)
+            vec.count_nonzero("hashtable.probes", int(probes.sum()))
+        values = self._avalue[slot].tolist()
+        return (
+            [value if ok else None for value, ok in zip(values, hit.tolist())],
+            probes.tolist(),
+        )
 
     def update_batch(
-        self, keys: list[tuple[int, int]], values: list[int]
+        self, keys, values
     ) -> tuple[list[int | None], list[int]]:
         """Batched update; returns (previous values, per-item probes)."""
-        out = []
-        works = []
-        for (key0, key1), value in zip(keys, values):
-            previous, probes = self.update(key0, key1, value)
-            out.append(previous)
-            works.append(probes)
-        return out, works
+        n = len(values)
+        if n == 0:
+            return [], []
+        if n < vec._SCALAR_CUTOFF:
+            out = []
+            works = []
+            for (k0, k1), value in zip(keys, values):
+                previous, probes = self.update(int(k0), int(k1), int(value))
+                out.append(None if previous is None else int(previous))
+                works.append(probes)
+            return out, works
+        key0, key1 = vec.as_key_arrays(keys)
+        vals = np.asarray(values, dtype=np.int64)
+        prev = np.empty(n, dtype=np.int64)
+        was_hit = np.zeros(n, dtype=bool)
+        prb = np.empty(n, dtype=np.int64)
+        inserted = 0
+        start = 0
+        while start < n:
+            room = self._room()
+            if room <= 0:
+                self._grow()
+                continue
+            stop = min(n, start + room)
+            ck0 = key0[start:stop]
+            ck1 = key1[start:stop]
+            cvals = vals[start:stop]
+            order, rep_pos, reps = vec.group_keys(ck0, ck1)
+            hit, slot, path = self._stable_place(
+                ck0[reps], ck1[reps], cvals[reps]
+            )
+            misses = int((~hit).sum())
+            inserted += misses
+            self._size += misses
+            prb[start:stop] = path[rep_pos]
+            # Per-item update semantics, per key and in batch order: the
+            # first item sees the pre-batch resident value (None on a
+            # miss), every later one sees its predecessor's value, and
+            # the last value stays in the table.
+            sorted_pos = rep_pos[order]
+            first = np.empty(order.shape[0], dtype=bool)
+            first[0] = True
+            first[1:] = sorted_pos[1:] != sorted_pos[:-1]
+            cprev = np.empty(order.shape[0], dtype=np.int64)
+            cprev[~first] = cvals[order[:-1]][~first[1:]]
+            base = self._avalue[slot]
+            cprev[first] = base[sorted_pos[first]]
+            chit = np.ones(order.shape[0], dtype=bool)
+            chit[first] = hit[sorted_pos[first]]
+            prev[start + order] = cprev
+            was_hit[start + order] = chit
+            last = np.empty(order.shape[0], dtype=bool)
+            last[-1] = True
+            last[:-1] = first[1:]
+            self._avalue[slot[sorted_pos[last]]] = cvals[order[last]]
+            start = stop
+        updated = int(was_hit.sum())
+        if observe.enabled:
+            vec.count_nonzero("hashtable.updates", updated)
+            vec.count_nonzero("hashtable.update_inserts", inserted)
+            vec.count_nonzero("hashtable.probes", int(prb.sum()))
+        return (
+            [
+                value if ok else None
+                for value, ok in zip(prev.tolist(), was_hit.tolist())
+            ],
+            prb.tolist(),
+        )
 
     def dump(self) -> list[tuple[int, int, int]]:
         """All (key0, key1, value) triples, densely packed.
@@ -217,39 +332,116 @@ class HashTable:
         array; the order is slot order, deterministic for a given
         insertion history.
         """
-        return [
-            (self._key0[slot], self._key1[slot], self._value[slot])
-            for slot in range(len(self._value))
-            if self._value[slot] != _EMPTY
-        ]
+        used = np.flatnonzero(self._avalue != _EMPTY)
+        return list(
+            zip(
+                self._akey0[used].tolist(),
+                self._akey1[used].tolist(),
+                self._avalue[used].tolist(),
+            )
+        )
 
     def _grow(self) -> None:
         if observe.enabled:
             observe.count("hashtable.resizes")
-        pairs = self.dump()
-        capacity = len(self._value) * 2
-        self._key0 = [_EMPTY] * capacity
-        self._key1 = [_EMPTY] * capacity
-        self._value = [_EMPTY] * capacity
+        used = np.flatnonzero(self._avalue != _EMPTY)
+        key0 = self._akey0[used]
+        key1 = self._akey1[used]
+        values = self._avalue[used]
+        self._alloc_slots(self._avalue.shape[0] * 2)
         self._size = 0
-        rehash_probes = 0
-        for key0, key1, value in pairs:
-            rehash_probes += self._insert_raw(key0, key1, value)
-        if observe.enabled:
-            observe.count("hashtable.rehash_probes", rehash_probes)
+        if key0.shape[0]:
+            # Resident keys are unique: place directly, no grouping.
+            # Rehash probes are maintenance, billed apart from inserts.
+            _, _, path = self._stable_place(key0, key1, values)
+            self._size = key0.shape[0]
+            if observe.enabled:
+                observe.count("hashtable.rehash_probes", int(path.sum()))
 
+    def _room(self) -> int:
+        """Inserts guaranteed not to trigger the growth check."""
+        return (
+            int(self._avalue.shape[0] * self._load_factor) - self._size
+        )
 
-def make_hash_table(
-    expected: int = 1024, load_factor: float = 0.5
-) -> HashTable:
-    """Backend-selected hash table (see :mod:`repro.parallel.backend`)."""
-    from repro.parallel import backend
+    def _stable_place(
+        self, key0: np.ndarray, key1: np.ndarray, values: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stable placement of a growth-free chunk of DISTINCT keys.
 
-    if backend.use_numpy():
-        from repro.parallel.vec import VecHashTable
-
-        return VecHashTable(expected, load_factor)
-    return HashTable(expected, load_factor)
+        Returns ``(hit, slot, path)``.  Misses are committed: their
+        keys and ``values`` entries are written at their final slots
+        (the caller adjusts ``_size`` and rewrites values when the
+        semantics require it).  ``path`` is each item's full walk
+        length — the per-item probe count.  The
+        :mod:`repro.parallel.vec` docstring explains why this priority
+        fixpoint is exactly insertion in batch order.
+        """
+        tkey0, tkey1, tvalue = self._akey0, self._akey1, self._avalue
+        cidx = self._acidx
+        mask = tvalue.shape[0] - 1
+        m = key0.shape[0]
+        hit = np.zeros(m, dtype=bool)
+        slot = np.full(m, -1, dtype=np.int64)
+        path = np.ones(m, dtype=np.int64)
+        active = np.arange(m)
+        cur = (vec.hash_keys(key0, key1) & np.uint64(mask)).astype(
+            np.int64
+        )
+        rounds = 0
+        while active.size:
+            rounds += 1
+            # Walk every active item to the first slot it stops on:
+            # a key match (final hit), an empty slot, or a tentative
+            # occupant with a later batch position (evictable).
+            walking = active
+            wcur = cur
+            while walking.size:
+                value = tvalue[wcur]
+                empty = value == _EMPTY
+                match = (
+                    ~empty
+                    & (tkey0[wcur] == key0[walking])
+                    & (tkey1[wcur] == key1[walking])
+                )
+                stop = empty | match | (cidx[wcur] > walking)
+                if stop.any():
+                    stopped = walking[stop]
+                    slot[stopped] = wcur[stop]
+                    hit[stopped] = match[stop]
+                    keep = ~stop
+                    walking = walking[keep]
+                    wcur = wcur[keep]
+                wcur = (wcur + 1) & mask
+                path[walking] += 1
+            claimants = active[~hit[active]]
+            if claimants.size == 0:
+                break
+            # Each contested slot goes to its lowest batch position.
+            cslot = slot[claimants]
+            owner = np.full(tvalue.shape[0], m, dtype=np.int64)
+            np.minimum.at(owner, cslot, claimants)
+            winner = owner[cslot] == claimants
+            wslot = cslot[winner]
+            widx = claimants[winner]
+            evicted = cidx[wslot]
+            evicted = evicted[evicted >= 0]
+            tkey0[wslot] = key0[widx]
+            tkey1[wslot] = key1[widx]
+            tvalue[wslot] = values[widx]
+            cidx[wslot] = widx
+            # Losers re-examine the slot they lost (it stays counted in
+            # their path); the displaced resume from the slot they held.
+            active = np.concatenate([claimants[~winner], evicted])
+            cur = slot[active]
+        self._acidx[slot[~hit]] = -1
+        if sanitizer.enabled and rounds > 1:
+            # Extra placement rounds = slot-level arbitration between
+            # batch items (the physical contention the per-item loop
+            # resolves implicitly in batch order) — a vector-path
+            # diagnostic, not part of the results.
+            sanitizer.current().on_evictions(rounds - 1)
+        return hit, slot, path
 
 
 class NodeHashTable:
@@ -261,7 +453,7 @@ class NodeHashTable:
     """
 
     def __init__(self, expected: int = 1024) -> None:
-        self._table = make_hash_table(expected)
+        self._table = HashTable(expected)
 
     @property
     def size(self) -> int:
@@ -274,9 +466,7 @@ class NodeHashTable:
         _, probes = self._table.insert(key0, key1, var)
         return probes
 
-    def seed_batch(
-        self, lits0: list[int], lits1: list[int], variables: list[int]
-    ) -> list[int]:
+    def seed_batch(self, lits0, lits1, variables) -> list[int]:
         """Batched :meth:`seed`; returns per-item probe works."""
         if sanitizer.enabled:
             sanitizer.current().on_table_batch(
@@ -286,14 +476,7 @@ class NodeHashTable:
                     for lit0, lit1 in zip(lits0, lits1)
                 ],
             )
-        if self._table.IS_VEC:
-            from repro.parallel import vec
-
-            return vec.seed_batch(self, lits0, lits1, variables)
-        return [
-            self.seed(lit0, lit1, var)
-            for lit0, lit1, var in zip(lits0, lits1, variables)
-        ]
+        return vec.seed_batch(self, lits0, lits1, variables)
 
     def get_or_create(self, lit0: int, lit1: int, alloc) -> tuple[int, int]:
         """Return the literal of AND(lit0, lit1), creating it if new.
@@ -325,9 +508,9 @@ class NodeHashTable:
 
         ``alloc`` is called in batch order for the items no equivalent
         node exists for — the deterministic stand-in for the GPU's
-        atomicCAS winner-takes-all.  ``alloc_batch``, when provided
-        and the vector table is active, allocates whole miss chunks in
-        one call (same ids, same order — wall-clock only).  Returns
+        atomicCAS winner-takes-all.  ``alloc_batch``, when provided,
+        allocates whole miss chunks of the vector path in one call
+        (same ids, same order — wall-clock only).  Returns
         (literals, probe works).
         """
         if sanitizer.enabled:
@@ -337,19 +520,7 @@ class NodeHashTable:
                 "get_or_create",
                 [lit_pair_key(lit0, lit1) for lit0, lit1 in pairs],
             )
-        if self._table.IS_VEC:
-            from repro.parallel import vec
-
-            return vec.get_or_create_batch(
-                self, pairs, alloc, alloc_batch
-            )
-        literals = []
-        works = []
-        for lit0, lit1 in pairs:
-            literal, probes = self.get_or_create(lit0, lit1, alloc)
-            literals.append(literal)
-            works.append(probes)
-        return literals, works
+        return vec.get_or_create_batch(self, pairs, alloc, alloc_batch)
 
     def lookup_lit(self, lit0: int, lit1: int) -> tuple[int | None, int]:
         """Literal of an existing AND(lit0, lit1) or None, plus work."""

@@ -1,16 +1,18 @@
-"""NumPy batch kernels for the parallel substrate (the fast backend).
+"""Whole-array batch kernels for the parallel substrate.
 
 Every kernel here executes one of the already-batched operations of
 :mod:`repro.parallel` as whole-array NumPy code while reproducing the
-scalar backend **bit-identically**: same table layouts, same per-item
+per-item loop **bit-identically**: same table layouts, same per-item
 probe counts, same allocation order, same ``hashtable.*`` counters.
-``docs/BACKENDS.md`` documents the contract; this module is the only
-place allowed to depend on NumPy.
+Batches below :data:`_SCALAR_CUTOFF` items run the per-item loop
+instead (``docs/ARCHITECTURE.md``, "Scalar vs vector paths").
 
-The interesting kernel is batched hash insertion.  The scalar backend
-resolves same-key (and same-slot) conflicts deterministically in batch
-order; a naive data-parallel insert would not.  The vectorized version
-reproduces the sequential result in two phases:
+The interesting kernel is batched hash insertion
+(:meth:`repro.parallel.hashtable.HashTable.insert_batch`).  The
+per-item loop resolves same-key (and same-slot) conflicts
+deterministically in batch order; a naive data-parallel insert would
+not.  The vectorized version reproduces the sequential result in two
+phases:
 
 1. **Key grouping** — duplicate keys inside a batch are folded onto
    their first occurrence.  Because the table never deletes, a later
@@ -27,9 +29,9 @@ reproduces the sequential result in two phases:
    contested slot goes to the lowest batch index (``np.minimum.at``),
    and a claimant displaced by a lower index resumes its walk from the
    slot it lost.  This priority fixpoint is exactly the assignment the
-   scalar loop produces by inserting in batch order, and each item's
+   per-item loop produces by inserting in batch order, and each item's
    probe count is the length of its cumulative walk — also exactly the
-   scalar count, because a sequential insert visits every slot between
+   per-item count, because a sequential insert visits every slot between
    its hash slot and its final slot.  The number of rounds is the
    depth of the longest displacement cascade (single digits in
    practice), each touching only the still-unplaced items.
@@ -38,7 +40,7 @@ Batched ``update`` adds per-key value chaining on top (every hit
 returns the previous batch item's value and the last one's value
 stays), and batched ``get_or_create`` inserts negative sentinels for
 misses, then allocates node ids in batch order and patches them over
-the sentinels, exactly like the scalar loop.
+the sentinels, exactly like the per-item loop.
 """
 
 from __future__ import annotations
@@ -46,21 +48,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro import observe
-from repro.parallel.hashtable import HashTable
-from repro.verify import sanitizer
 
 _EMPTY = -1
 
 #: Below this batch size the whole-array set-up cost exceeds the scalar
-#: loop; fall back to the inherited per-item path, which is the same
-#: table layout and the same counters either way (pure wall-clock
-#: heuristic, never a semantic switch).
+#: loop; fall back to the per-item path, which is the same table
+#: layout and the same counters either way (pure wall-clock heuristic,
+#: never a semantic switch).
 _SCALAR_CUTOFF = 512
 
 
-def _count(name: str, value: int) -> None:
-    """Aggregate counter bump that, like the scalar per-item path,
-    never materializes a key for zero events."""
+def count_nonzero(name: str, value: int) -> None:
+    """Aggregate counter bump that, like the per-item path, never
+    materializes a key for zero events."""
     if value:
         observe.count(name, value)
 
@@ -127,7 +127,7 @@ def group_keys(
     order, each item's position into ``reps`` (its group's
     representative), and the representative item indices themselves.
     ``reps`` is ascending — position within it is batch order, which
-    :meth:`VecHashTable._stable_place` uses as the placement priority.
+    :meth:`HashTable._stable_place` uses as the placement priority.
     Shared with :meth:`repro.aig.aig.Aig.add_and_batch`, whose strash
     probe dedups batch keys the same way.
     """
@@ -147,304 +147,7 @@ def group_keys(
     return order, rep_pos, np.sort(reps)
 
 
-class VecHashTable(HashTable):
-    """NumPy-array twin of :class:`HashTable`.
-
-    Storage is three int64 arrays instead of lists; the inherited
-    scalar single-item operations work unchanged on them (callers pass
-    Python ints).  Growth, dump and the batched operations are
-    overridden with vectorized implementations.
-    """
-
-    IS_VEC = True
-
-    def __init__(
-        self, expected: int = 1024, load_factor: float = 0.5
-    ) -> None:
-        if not 0.0 < load_factor < 1.0:
-            raise ValueError("load factor must be in (0, 1)")
-        self._load_factor = load_factor
-        capacity = 16
-        while capacity * load_factor < max(expected, 1):
-            capacity *= 2
-        self._alloc_slots(capacity)
-        self._size = 0
-
-    def _alloc_slots(self, capacity: int) -> None:
-        """Allocate the slot arrays plus their memoryview twins.
-
-        The NumPy arrays serve the vectorized paths; the inherited
-        scalar operations (used below :data:`_SCALAR_CUTOFF` and by the
-        growth-replay in :func:`get_or_create_batch`) go through
-        ``self._key0``/``self._key1``/``self._value``, which here are
-        *memoryviews* of the same buffers — scalar indexing on a
-        memoryview speaks plain Python ints at close to list speed,
-        where ndarray scalar indexing would box ``np.int64`` on every
-        probe.  ``_acidx`` holds, per slot, the batch position of a
-        tentative occupant during stable placement (-1 outside it).
-        """
-        self._akey0 = np.full(capacity, _EMPTY, dtype=np.int64)
-        self._akey1 = np.full(capacity, _EMPTY, dtype=np.int64)
-        self._avalue = np.full(capacity, _EMPTY, dtype=np.int64)
-        self._acidx = np.full(capacity, -1, dtype=np.int64)
-        self._key0 = memoryview(self._akey0)
-        self._key1 = memoryview(self._akey1)
-        self._value = memoryview(self._avalue)
-
-    def dump(self) -> list[tuple[int, int, int]]:
-        used = np.flatnonzero(self._avalue != _EMPTY)
-        return list(
-            zip(
-                self._akey0[used].tolist(),
-                self._akey1[used].tolist(),
-                self._avalue[used].tolist(),
-            )
-        )
-
-    def _grow(self) -> None:
-        if observe.enabled:
-            observe.count("hashtable.resizes")
-        used = np.flatnonzero(self._avalue != _EMPTY)
-        key0 = self._akey0[used]
-        key1 = self._akey1[used]
-        values = self._avalue[used]
-        self._alloc_slots(self._avalue.shape[0] * 2)
-        self._size = 0
-        n = key0.shape[0]
-        if n:
-            # Resident keys are unique: place directly, no grouping.
-            hit, _, path = self._stable_place(key0, key1, values)
-            self._size = n
-            if observe.enabled:
-                observe.count("hashtable.rehash_probes", int(path.sum()))
-
-    def _room(self) -> int:
-        """Inserts guaranteed not to trigger the scalar growth check."""
-        return (
-            int(self._avalue.shape[0] * self._load_factor) - self._size
-        )
-
-    def _stable_place(
-        self, key0: np.ndarray, key1: np.ndarray, values: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stable placement of a growth-free chunk of DISTINCT keys.
-
-        Returns ``(hit, slot, path)``.  Misses are committed: their
-        keys and ``values`` entries are written at their final slots
-        (the caller adjusts ``_size`` and rewrites values when the
-        semantics require it).  ``path`` is each item's full walk
-        length — the scalar probe count.
-        """
-        tkey0, tkey1, tvalue = self._akey0, self._akey1, self._avalue
-        cidx = self._acidx
-        mask = tvalue.shape[0] - 1
-        m = key0.shape[0]
-        hit = np.zeros(m, dtype=bool)
-        slot = np.full(m, -1, dtype=np.int64)
-        path = np.ones(m, dtype=np.int64)
-        active = np.arange(m)
-        cur = (hash_keys(key0, key1) & np.uint64(mask)).astype(np.int64)
-        rounds = 0
-        while active.size:
-            rounds += 1
-            # Walk every active item to the first slot it stops on:
-            # a key match (final hit), an empty slot, or a tentative
-            # occupant with a later batch position (evictable).
-            walking = active
-            wcur = cur
-            while walking.size:
-                value = tvalue[wcur]
-                empty = value == _EMPTY
-                match = (
-                    ~empty
-                    & (tkey0[wcur] == key0[walking])
-                    & (tkey1[wcur] == key1[walking])
-                )
-                stop = empty | match | (cidx[wcur] > walking)
-                if stop.any():
-                    stopped = walking[stop]
-                    slot[stopped] = wcur[stop]
-                    hit[stopped] = match[stop]
-                    keep = ~stop
-                    walking = walking[keep]
-                    wcur = wcur[keep]
-                wcur = (wcur + 1) & mask
-                path[walking] += 1
-            claimants = active[~hit[active]]
-            if claimants.size == 0:
-                break
-            # Each contested slot goes to its lowest batch position.
-            cslot = slot[claimants]
-            owner = np.full(tvalue.shape[0], m, dtype=np.int64)
-            np.minimum.at(owner, cslot, claimants)
-            winner = owner[cslot] == claimants
-            wslot = cslot[winner]
-            widx = claimants[winner]
-            evicted = cidx[wslot]
-            evicted = evicted[evicted >= 0]
-            tkey0[wslot] = key0[widx]
-            tkey1[wslot] = key1[widx]
-            tvalue[wslot] = values[widx]
-            cidx[wslot] = widx
-            # Losers re-examine the slot they lost (it stays counted in
-            # their path); the displaced resume from the slot they held.
-            active = np.concatenate([claimants[~winner], evicted])
-            cur = slot[active]
-        self._acidx[slot[~hit]] = -1
-        if sanitizer.enabled and rounds > 1:
-            # Extra placement rounds = slot-level arbitration between
-            # batch items (the physical contention the scalar backend
-            # resolves implicitly in batch order) — a vec-only
-            # diagnostic, not part of the bit-identical contract.
-            sanitizer.current().on_evictions(rounds - 1)
-        return hit, slot, path
-
-    def insert_batch(self, keys, values):
-        n = len(values)
-        if n == 0:
-            return [], []
-        if n < _SCALAR_CUTOFF:
-            out = []
-            works = []
-            for (k0, k1), value in zip(keys, values):
-                resident, probes = self.insert(int(k0), int(k1), int(value))
-                out.append(int(resident))
-                works.append(probes)
-            return out, works
-        key0, key1 = _as_key_arrays(keys)
-        vals = np.asarray(values, dtype=np.int64)
-        res = np.empty(n, dtype=np.int64)
-        prb = np.empty(n, dtype=np.int64)
-        inserted = 0
-        start = 0
-        while start < n:
-            room = self._room()
-            if room <= 0:
-                self._grow()
-                continue
-            stop = min(n, start + room)
-            ck0 = key0[start:stop]
-            ck1 = key1[start:stop]
-            cvals = vals[start:stop]
-            _, rep_pos, reps = group_keys(ck0, ck1)
-            hit, slot, path = self._stable_place(
-                ck0[reps], ck1[reps], cvals[reps]
-            )
-            inserted += int((~hit).sum())
-            self._size += int((~hit).sum())
-            # Every group member returns its representative's resident
-            # value and walks its representative's exact path.
-            res[start:stop] = self._avalue[slot][rep_pos]
-            prb[start:stop] = path[rep_pos]
-            start = stop
-        if observe.enabled:
-            _count("hashtable.inserts", inserted)
-            _count("hashtable.insert_hits", n - inserted)
-            _count("hashtable.probes", int(prb.sum()))
-        return res.tolist(), prb.tolist()
-
-    def lookup_batch(self, keys):
-        n = len(keys)
-        if n == 0:
-            return [], []
-        if n < _SCALAR_CUTOFF:
-            out = []
-            works = []
-            for k0, k1 in keys:
-                value, probes = self.lookup(int(k0), int(k1))
-                out.append(None if value is None else int(value))
-                works.append(probes)
-            return out, works
-        key0, key1 = _as_key_arrays(keys)
-        hit, slot, probes = probe_sim(
-            self._akey0,
-            self._akey1,
-            self._avalue,
-            self._avalue.shape[0] - 1,
-            key0,
-            key1,
-        )
-        if observe.enabled:
-            _count("hashtable.lookups", n)
-            _count("hashtable.probes", int(probes.sum()))
-        values = self._avalue[slot].tolist()
-        return (
-            [value if ok else None for value, ok in zip(values, hit.tolist())],
-            probes.tolist(),
-        )
-
-    def update_batch(self, keys, values):
-        n = len(values)
-        if n == 0:
-            return [], []
-        if n < _SCALAR_CUTOFF:
-            out = []
-            works = []
-            for (k0, k1), value in zip(keys, values):
-                previous, probes = self.update(int(k0), int(k1), int(value))
-                out.append(None if previous is None else int(previous))
-                works.append(probes)
-            return out, works
-        key0, key1 = _as_key_arrays(keys)
-        vals = np.asarray(values, dtype=np.int64)
-        prev = np.empty(n, dtype=np.int64)
-        was_hit = np.zeros(n, dtype=bool)
-        prb = np.empty(n, dtype=np.int64)
-        inserted = 0
-        start = 0
-        while start < n:
-            room = self._room()
-            if room <= 0:
-                self._grow()
-                continue
-            stop = min(n, start + room)
-            ck0 = key0[start:stop]
-            ck1 = key1[start:stop]
-            cvals = vals[start:stop]
-            order, rep_pos, reps = group_keys(ck0, ck1)
-            hit, slot, path = self._stable_place(
-                ck0[reps], ck1[reps], cvals[reps]
-            )
-            misses = int((~hit).sum())
-            inserted += misses
-            self._size += misses
-            prb[start:stop] = path[rep_pos]
-            # Scalar update semantics, per key and in batch order: the
-            # first item sees the pre-batch resident value (None on a
-            # miss), every later one sees its predecessor's value, and
-            # the last value stays in the table.
-            sorted_pos = rep_pos[order]
-            first = np.empty(order.shape[0], dtype=bool)
-            first[0] = True
-            first[1:] = sorted_pos[1:] != sorted_pos[:-1]
-            cprev = np.empty(order.shape[0], dtype=np.int64)
-            cprev[~first] = cvals[order[:-1]][~first[1:]]
-            base = self._avalue[slot]
-            cprev[first] = base[sorted_pos[first]]
-            chit = np.ones(order.shape[0], dtype=bool)
-            chit[first] = hit[sorted_pos[first]]
-            prev[start + order] = cprev
-            was_hit[start + order] = chit
-            last = np.empty(order.shape[0], dtype=bool)
-            last[-1] = True
-            last[:-1] = first[1:]
-            self._avalue[slot[sorted_pos[last]]] = cvals[order[last]]
-            start = stop
-        updated = int(was_hit.sum())
-        if observe.enabled:
-            _count("hashtable.updates", updated)
-            _count("hashtable.update_inserts", inserted)
-            _count("hashtable.probes", int(prb.sum()))
-        return (
-            [
-                value if ok else None
-                for value, ok in zip(prev.tolist(), was_hit.tolist())
-            ],
-            prb.tolist(),
-        )
-
-
-def _as_key_arrays(keys) -> tuple[np.ndarray, np.ndarray]:
+def as_key_arrays(keys) -> tuple[np.ndarray, np.ndarray]:
     arr = np.asarray(keys, dtype=np.int64)
     if arr.size == 0:
         arr = arr.reshape(0, 2)
@@ -503,8 +206,8 @@ def goc_batch_arrays(node_table, lits0, lits1, alloc, alloc_batch=None):
     Takes two parallel int64 literal arrays and returns
     ``(literals, probe_works)`` as int64 ndarrays — the column-native
     pass kernels feed these straight into ``launch_batch`` without a
-    list round-trip.  Below :data:`_SCALAR_CUTOFF` the inherited
-    scalar path runs item by item (same layouts, same counters).
+    list round-trip.  Below :data:`_SCALAR_CUTOFF` the scalar path
+    runs item by item (same layouts, same counters).
     """
     n = lits0.shape[0]
     if n < _SCALAR_CUTOFF:
@@ -602,7 +305,7 @@ def _goc_chunk(table, key0, key1, alloc, alloc_batch=None):
     if shared.any():
         res[shared] = variables[-(res[shared] + 2)]
     if observe.enabled:
-        _count("hashtable.lookups", m)
-        _count("hashtable.inserts", int(miss.sum()))
-        _count("hashtable.probes", int(prb.sum()))
+        count_nonzero("hashtable.lookups", m)
+        count_nonzero("hashtable.inserts", int(miss.sum()))
+        count_nonzero("hashtable.probes", int(prb.sum()))
     return res << 1, prb

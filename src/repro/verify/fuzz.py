@@ -1,13 +1,13 @@
 """CEC-gated differential fuzzing of the parallel optimization engine.
 
 One fuzz *case* is a generated AIG plus a pass script.  The harness
-runs the case under every requested backend and both sanitizer modes
-(off, and on in record mode with post-pass invariant auditing), then:
+runs the case in both sanitizer modes (off, and on in record mode with
+post-pass invariant auditing), then:
 
 * collects sanitizer conflicts and invariant violations per run;
-* compares the AIGER dumps of all runs — the backends promise
-  bit-identical results and the sanitizer promises to be transparent,
-  so every run of one case must produce the *same* AIG;
+* compares the AIGER dumps of both runs — the sanitizer promises to
+  be transparent, so every run of one case must produce the *same*
+  AIG;
 * gates the result with combinational equivalence checking against the
   input (:func:`repro.cec.check_equivalence`).
 
@@ -32,7 +32,6 @@ from repro.benchgen.control import random_control
 from repro.benchgen.random_aig import mtm_random
 from repro.cec import CecStatus, check_equivalence
 from repro.engine import run_script
-from repro.parallel import backend
 from repro.verify import sanitizer
 from repro.verify.invariants import AigInvariantError
 from repro.verify.sanitizer import RaceConflictError, Sanitizer
@@ -54,11 +53,10 @@ SCRIPT_POOL = (
 
 @dataclass
 class CaseOutcome:
-    """Result of one (case, backend, sanitize) run."""
+    """Result of one (case, sanitize) run."""
 
     name: str
     script: str
-    backend: str
     sanitize: bool
     conflicts: int = 0
     error: str | None = None
@@ -80,7 +78,6 @@ class CaseOutcome:
 def run_case(
     aig: Aig,
     script: str,
-    backend_name: str | None = None,
     sanitize: bool = True,
     check_cec: bool = True,
     name: str = "case",
@@ -91,21 +88,12 @@ def run_case(
     With ``sanitize`` the run executes under a record-mode sanitizer
     (all conflicts collected, none raised) with post-pass invariant
     auditing; structural failures are captured in the outcome instead
-    of propagating.  ``backend_name`` pins the kernel backend for the
-    duration of the run.
+    of propagating.
     """
-    outcome = CaseOutcome(
-        name=name,
-        script=script,
-        backend=backend_name or backend.current_backend(),
-        sanitize=sanitize,
-    )
-    previous_override = backend._override
+    outcome = CaseOutcome(name=name, script=script, sanitize=sanitize)
     san = Sanitizer(on_conflict="record") if sanitize else None
     result = None
     try:
-        if backend_name is not None:
-            backend.set_backend(backend_name)
         if san is not None:
             sanitizer.set_sanitizer(san)
         try:
@@ -128,7 +116,6 @@ def run_case(
     finally:
         if san is not None:
             sanitizer.set_sanitizer(None)
-        backend.set_backend(previous_override)
     if san is not None:
         outcome.conflicts = san.num_conflicts
         outcome.counters = san.summary()
@@ -151,7 +138,6 @@ class FuzzReport:
 
     seed: int
     budget: int
-    backends: list[str]
     cases: int = 0
     runs: int = 0
     conflicts: int = 0
@@ -176,14 +162,13 @@ class FuzzReport:
     def format(self) -> str:
         """Human-readable multi-line summary."""
         lines = [
-            f"fuzz seed={self.seed} budget={self.budget} "
-            f"backends={','.join(self.backends)}",
+            f"fuzz seed={self.seed} budget={self.budget}",
             f"  cases run          {self.cases}",
             f"  engine runs        {self.runs}",
             f"  sanitizer conflicts{self.conflicts:>5}",
             f"  invariant failures {self.invariant_failures:>5}",
             f"  cec failures       {self.cec_failures:>5}",
-            f"  backend mismatches {self.mismatches:>5}",
+            f"  result mismatches  {self.mismatches:>5}",
             f"  other errors       {self.errors:>5}",
             f"  cec unknowns       {self.unknowns:>5}",
         ]
@@ -238,62 +223,52 @@ def _generate_case(rng: random.Random, index: int) -> tuple[str, Aig]:
 def run_fuzz(
     seed: int = 0,
     budget: int = 30,
-    backends: list[str] | None = None,
     scripts: tuple[str, ...] = SCRIPT_POOL,
     progress=None,
 ) -> FuzzReport:
     """Fuzz ``budget`` cases; returns the aggregate report.
 
-    ``backends`` defaults to every available backend.  ``progress`` is
-    an optional callable receiving one line per case.
+    ``progress`` is an optional callable receiving one line per case.
     """
-    if backends is None:
-        backends = ["python"]
-        if backend.HAS_NUMPY:
-            backends.append("numpy")
     rng = random.Random(seed)
-    report = FuzzReport(seed=seed, budget=budget, backends=list(backends))
+    report = FuzzReport(seed=seed, budget=budget)
     for index in range(budget):
         case_name, aig = _generate_case(rng, index)
         script = rng.choice(scripts)
         label = f"{case_name} script={script!r}"
         outcomes: list[CaseOutcome] = []
-        for backend_name in backends:
-            for sanitize in (False, True):
-                outcome = run_case(
-                    aig,
-                    script,
-                    backend_name=backend_name,
-                    sanitize=sanitize,
-                    # The dumps are compared below; CEC once per
-                    # distinct dump keeps the gate complete and cheap.
-                    check_cec=False,
-                    name=case_name,
+        for sanitize in (False, True):
+            outcome = run_case(
+                aig,
+                script,
+                sanitize=sanitize,
+                # The dumps are compared below; CEC once per distinct
+                # dump keeps the gate complete and cheap.
+                check_cec=False,
+                name=case_name,
+            )
+            outcomes.append(outcome)
+            report.runs += 1
+            report.conflicts += outcome.conflicts
+            if outcome.conflicts:
+                report.failures.append(
+                    f"{label}: {outcome.conflicts} sanitizer conflict(s)"
                 )
-                outcomes.append(outcome)
-                report.runs += 1
-                report.conflicts += outcome.conflicts
-                if outcome.conflicts:
-                    report.failures.append(
-                        f"{label} backend={backend_name}: "
-                        f"{outcome.conflicts} sanitizer conflict(s)"
-                    )
-                if outcome.error is not None:
-                    if outcome.error_kind == "invariant":
-                        report.invariant_failures += 1
-                    else:
-                        report.errors += 1
-                    report.failures.append(
-                        f"{label} backend={backend_name} "
-                        f"sanitize={sanitize}: {outcome.error}"
-                    )
+            if outcome.error is not None:
+                if outcome.error_kind == "invariant":
+                    report.invariant_failures += 1
+                else:
+                    report.errors += 1
+                report.failures.append(
+                    f"{label} sanitize={sanitize}: {outcome.error}"
+                )
         dumps = {
             outcome.dump for outcome in outcomes if outcome.dump is not None
         }
         if len(dumps) > 1:
             report.mismatches += 1
             report.failures.append(
-                f"{label}: backends/sanitizer modes disagree "
+                f"{label}: sanitizer modes disagree "
                 f"({len(dumps)} distinct results)"
             )
         for dump in sorted(dumps):

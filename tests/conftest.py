@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -41,6 +43,40 @@ def assert_equivalent(left: Aig, right: Aig, width: int = 256) -> None:
         f"{left.name} vs {right.name}: {result.status.value}, "
         f"cex={result.counterexample}, po={result.failing_output}"
     )
+
+
+#: Every size cutoff that picks a scalar loop or a whole-array kernel,
+#: as (module, attribute).  Results never depend on which side runs.
+SIZE_CUTOFFS = (
+    ("repro.algorithms.kernels", "KERNEL_CUTOFF"),
+    ("repro.aig.aig", "_BATCH_CUTOFF"),
+    ("repro.aig.aig", "_BULK_COMPACT_MIN"),
+    ("repro.aig.store", "_BULK_MIN"),
+    ("repro.aig.traversal", "_VEC_MIN_NODES"),
+    ("repro.engine.context", "_VEC_EXTEND_MIN"),
+    ("repro.parallel.frontier", "_VEC_MIN_ITEMS"),
+    ("repro.parallel.vec", "_SCALAR_CUTOFF"),
+)
+
+
+def force_vector_paths(patch: pytest.MonkeyPatch) -> None:
+    """Set every size cutoff to 1 so each kernel takes its vector side."""
+    for module, name in SIZE_CUTOFFS:
+        patch.setattr(importlib.import_module(module), name, 1)
+
+
+@contextmanager
+def vector_paths():
+    """:func:`force_vector_paths` as a context (for hypothesis bodies)."""
+    with pytest.MonkeyPatch.context() as patch:
+        force_vector_paths(patch)
+        yield
+
+
+@pytest.fixture
+def all_vector(monkeypatch):
+    """Run the test with every size cutoff on its vector side."""
+    force_vector_paths(monkeypatch)
 
 
 @pytest.fixture

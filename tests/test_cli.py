@@ -95,18 +95,8 @@ def test_verify_subcommand_clean(aig_file, capsys):
     assert "verdict: CLEAN" in out
 
 
-def test_verify_subcommand_pinned_backend(aig_file, capsys):
-    aig, path = aig_file
-    assert main(
-        ["verify", str(path), "-c", "b", "--backend", "python"]
-    ) == 0
-    assert "backend=python" in capsys.readouterr().out
-
-
 def test_fuzz_subcommand_small_budget(capsys):
-    code = main([
-        "fuzz", "--seed", "3", "--budget", "2", "--backend", "python",
-    ])
+    code = main(["fuzz", "--seed", "3", "--budget", "2"])
     assert code == 0
     out = capsys.readouterr().out
     assert "cases run          2" in out
@@ -114,10 +104,7 @@ def test_fuzz_subcommand_small_budget(capsys):
 
 
 def test_fuzz_subcommand_verbose_progress(capsys):
-    code = main([
-        "fuzz", "--seed", "3", "--budget", "1", "--backend", "python",
-        "-v",
-    ])
+    code = main(["fuzz", "--seed", "3", "--budget", "1", "-v"])
     assert code == 0
     assert "[1/1]" in capsys.readouterr().out
 
@@ -130,3 +117,66 @@ def test_table1_subcommand(capsys):
 def test_fig8_subcommand(capsys):
     assert main(["fig8", "--names", "vga_lcd"]) == 0
     assert "dedup" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# User errors: one ``error:`` line on stderr, no traceback
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    ("filename", "content", "message"),
+    [
+        (
+            "truncated.aig",
+            b"aig 3 2 0 1 1\n6\n\x02",
+            "unexpected end of binary AIGER data",
+        ),
+        (
+            "header.aag",
+            b"aag 3 2 0 1 2\n2\n4\n6\n6 2 4\n",
+            "truncated AIGER body",
+        ),
+        (
+            "cyclic.aag",
+            b"aag 4 2 0 1 2\n2\n4\n6\n6 8 2\n8 6 4\n",
+            "cyclic fanins",
+        ),
+        (
+            "range.aag",
+            b"aag 3 2 0 1 1\n2\n4\n60\n6 2 4\n",
+            "literal 60 references undefined variable",
+        ),
+    ],
+    ids=["truncated-binary", "inconsistent-header", "cyclic-ands",
+         "out-of-range-literal"],
+)
+def test_malformed_input_is_one_line_error(
+    tmp_path, capsys, filename, content, message
+):
+    path = tmp_path / filename
+    path.write_bytes(content)
+    assert main(["opt", str(path), "-c", "b"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {path}: ")
+    assert message in lines[0]
+    assert captured.out == ""
+
+
+def test_trace_into_missing_directory_fails_before_running(
+    aig_file, tmp_path, capsys, monkeypatch
+):
+    def never_run(*args, **kwargs):
+        raise AssertionError("optimization ran before the trace check")
+
+    monkeypatch.setattr("repro.cli.run_script", never_run)
+    _, path = aig_file
+    trace = tmp_path / "missing" / "trace.json"
+    assert main(["opt", str(path), "-c", "b", "--trace", str(trace)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: trace directory does not exist: {trace.parent}"
+    ]
+    assert captured.out == ""

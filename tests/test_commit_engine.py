@@ -8,18 +8,17 @@ Covers the pieces every pass now shares:
   min-gain rejection, level-cap (never-worse depth) rejection, and
   bit-exact rollback;
 * :class:`repro.commit.InsertionSession` bulk-vs-scalar parity — the
-  numpy batch constructor and the list-mode fallback must produce the
-  same ids in the same order (only the ``commit.bulk_nodes`` /
+  batch constructor and the per-item path must produce the same ids
+  in the same order (only the ``commit.bulk_nodes`` /
   ``commit.serial_replays`` wall-clock split may differ);
-* a plan-level wave commit applied under both backends producing
-  identical graphs and alias maps.
+* a plan-level wave commit on the scalar and the vector paths
+  producing identical graphs and alias maps.
 """
 
 from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,18 +35,9 @@ from repro.commit import (
     apply_replacement,
     deref_cone,
 )
-from repro.parallel import backend
+from repro.parallel import vec
 from repro.parallel.machine import ParallelMachine
-
-requires_numpy = pytest.mark.skipif(
-    not backend.HAS_NUMPY, reason="numpy backend unavailable"
-)
-
-
-@pytest.fixture(autouse=True)
-def _reset_backend():
-    yield
-    backend.set_backend(None)
+from tests.conftest import vector_paths
 
 
 def plan(root: int, writes, reads=None, gain: int = 0) -> RewritePlan:
@@ -275,10 +265,9 @@ def session_pairs(num_pis: int, num_pairs: int, seed: int):
     return pairs
 
 
-def run_session(backend_name: str, pairs, rounds: int):
+def run_session(pairs, rounds: int):
     """Feed ``pairs`` through ``rounds`` insertion rounds; return the
     per-round results plus the final serialized graph."""
-    backend.set_backend(backend_name)
     aig = Aig("session")
     for _ in range(64):
         aig.add_pi()
@@ -291,7 +280,6 @@ def run_session(backend_name: str, pairs, rounds: int):
     return outputs, dump_aag(aig)
 
 
-@requires_numpy
 @settings(max_examples=15, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
@@ -299,40 +287,33 @@ def run_session(backend_name: str, pairs, rounds: int):
     rounds=st.integers(min_value=1, max_value=4),
 )
 def test_insertion_session_backend_parity(seed, num_pairs, rounds):
+    """Per-item rounds (shipped cutoffs) == whole-array rounds."""
     pairs = session_pairs(40, num_pairs, seed)
-    out_p, aag_p = run_session("python", pairs, rounds)
-    out_n, aag_n = run_session("numpy", pairs, rounds)
-    assert out_p == out_n
-    assert aag_p == aag_n
+    out_s, aag_s = run_session(pairs, rounds)
+    with vector_paths():
+        out_v, aag_v = run_session(pairs, rounds)
+    assert out_s == out_v
+    assert aag_s == aag_v
 
 
-@requires_numpy
-def test_insertion_session_bulk_allocation_above_cutoff():
-    """A big round on the numpy backend allocates whole miss chunks
-    through the batch constructor — and still matches list mode."""
+def test_insertion_session_bulk_allocation_above_cutoff(monkeypatch):
+    """A big round allocates whole miss chunks through the batch
+    constructor — and still matches the per-item path."""
     pairs = session_pairs(60, 900, seed=3)
     observe.enable()
-    out_n, aag_n = run_session("numpy", pairs, rounds=1)
+    out_v, aag_v = run_session(pairs, rounds=1)
     _, registry = observe.disable()
     counters = registry.snapshot()["counters"]
     assert counters.get("commit.bulk_nodes", 0) > 0
+    monkeypatch.setattr(vec, "_SCALAR_CUTOFF", 10**9)
     observe.enable()
-    out_p, aag_p = run_session("python", pairs, rounds=1)
+    out_s, aag_s = run_session(pairs, rounds=1)
     _, registry = observe.disable()
     scalar_counters = registry.snapshot()["counters"]
     assert scalar_counters.get("commit.bulk_nodes", 0) == 0
     assert scalar_counters["commit.serial_replays"] > 0
-    assert out_p == out_n
-    assert aag_p == aag_n
-
-
-def test_list_mode_session_never_bulk_allocates():
-    backend.set_backend("python")
-    aig = Aig("listmode")
-    for _ in range(4):
-        aig.add_pi()
-    session = InsertionSession(aig)
-    assert session.alloc_batch is None
+    assert out_s == out_v
+    assert aag_s == aag_v
 
 
 # ----------------------------------------------------------------------
@@ -349,8 +330,7 @@ def reassoc_template():
     return template
 
 
-def wave_commit(backend_name: str):
-    backend.set_backend(backend_name)
+def wave_commit():
     aig, (a, b, c, d), root = chain_aig()
     extra = aig.add_and(a, d)  # survivor outside the cone
     aig.add_po(extra)
@@ -371,18 +351,17 @@ def wave_commit(backend_name: str):
     return dump_aag(aig), alias, plans[0].new_root, machine.total_time()
 
 
-@requires_numpy
 def test_commit_wave_backend_parity():
-    aag_p, alias_p, new_root_p, modeled_p = wave_commit("python")
-    aag_n, alias_n, new_root_n, modeled_n = wave_commit("numpy")
-    assert aag_p == aag_n
-    assert alias_p == alias_n
-    assert new_root_p == new_root_n
-    assert modeled_p == modeled_n
+    aag_s, alias_s, new_root_s, modeled_s = wave_commit()
+    with vector_paths():
+        aag_v, alias_v, new_root_v, modeled_v = wave_commit()
+    assert aag_s == aag_v
+    assert alias_s == alias_v
+    assert new_root_s == new_root_v
+    assert modeled_s == modeled_v
 
 
 def test_commit_wave_records_new_root_and_deleted():
-    backend.set_backend("python")
     aig, (a, b, c, d), root = chain_aig()
     cone = set(aig.and_vars())
     template = reassoc_template()

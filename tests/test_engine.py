@@ -49,11 +49,6 @@ from tests.conftest import build_random_aig
 
 GOLDENS = Path(__file__).parent / "goldens" / "engine_parity.json"
 
-requires_numpy = pytest.mark.skipif(
-    not backend.HAS_NUMPY, reason="numpy backend unavailable"
-)
-
-
 # ----------------------------------------------------------------------
 # Golden parity: the engine reproduces pre-refactor behavior bit for bit
 # ----------------------------------------------------------------------
@@ -99,10 +94,7 @@ def _run_id(run: dict) -> str:
 
 @pytest.mark.parametrize("run", _GOLDEN_RUNS, ids=_run_id)
 def test_golden_parity(run):
-    if run["backend"] == "numpy" and not backend.HAS_NUMPY:
-        pytest.skip("numpy backend unavailable")
     aig = _case_aig(run["case"])
-    backend.set_backend(run["backend"])
     observe.enable()
     try:
         result = run_script(
@@ -110,7 +102,6 @@ def test_golden_parity(run):
         )
     finally:
         _, registry = observe.disable()
-        backend.set_backend(None)
     assert dump_aag(result.aig) == run["dump"]
     assert repr(result.modeled_time()) == run["modeled_time"]
     counters = registry.snapshot()["counters"]
@@ -118,11 +109,11 @@ def test_golden_parity(run):
         assert counters.get(key, 0) == value, key
 
 
-def test_goldens_cover_both_engines_and_backends():
-    seen = {(run["engine"], run["backend"]) for run in _GOLDEN_RUNS}
-    assert ("seq", "python") in seen and ("gpu", "python") in seen
-    if backend.HAS_NUMPY:
-        assert ("seq", "numpy") in seen and ("gpu", "numpy") in seen
+def test_goldens_cover_both_engines():
+    assert {run["engine"] for run in _GOLDEN_RUNS} == {"seq", "gpu"}
+    assert {run["backend"] for run in _GOLDEN_RUNS} == {
+        backend.current_backend()
+    }
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +228,6 @@ def test_context_fork_isolation(small_aig):
     assert context.counters["extends"] == 0
 
 
-@requires_numpy
 def test_context_arrays_grow_in_place(small_aig):
     import numpy as np
 

@@ -23,25 +23,13 @@ from repro.aig.traversal import fanout_counts, fanout_lists
 from repro.algorithms import kernels
 from repro.engine import run_script
 from repro.engine.context import context_for
-from repro.parallel import backend
 from repro.parallel.machine import ParallelMachine
 from tests.conftest import build_random_aig
-
-requires_numpy = pytest.mark.skipif(
-    not backend.HAS_NUMPY, reason="numpy backend unavailable"
-)
 
 aig_seeds = st.integers(min_value=0, max_value=50_000)
 aig_sizes = st.integers(min_value=10, max_value=150)
 
 SCRIPTS = ("b", "rf", "rw")
-
-
-@pytest.fixture(autouse=True)
-def _numpy_backend():
-    backend.set_backend("numpy")
-    yield
-    backend.set_backend(None)
 
 
 def _run(aig, script: str, cutoff: int):
@@ -71,6 +59,10 @@ def _run(aig, script: str, cutoff: int):
 
 
 def _assert_kernel_parity(make_aig, script: str) -> None:
+    # Process-wide caches (the rewriting library's templates) count
+    # their own construction (``strash.rehashes``) on first use; warm
+    # them so both measured runs start from the same state.
+    _run(make_aig(), script, cutoff=1 << 60)
     on = _run(make_aig(), script, cutoff=0)
     off = _run(make_aig(), script, cutoff=1 << 60)
     assert on[0] == off[0], "serialized AIGs differ"
@@ -84,7 +76,6 @@ def _assert_kernel_parity(make_aig, script: str) -> None:
 # ----------------------------------------------------------------------
 
 
-@requires_numpy
 @settings(max_examples=8, deadline=None)
 @given(seed=aig_seeds, size=aig_sizes)
 @pytest.mark.parametrize("script", SCRIPTS)
@@ -94,7 +85,6 @@ def test_kernel_parity_random(script, seed, size):
     )
 
 
-@requires_numpy
 @pytest.mark.parametrize("script", SCRIPTS + ("resyn2",))
 def test_kernel_parity_deep(script):
     # Deeper/narrower shape than the default random graphs.
@@ -109,37 +99,10 @@ def test_kernel_parity_deep(script):
 # ----------------------------------------------------------------------
 
 
-@requires_numpy
 def test_cutoff_gate_keeps_small_graphs_scalar():
     aig = build_random_aig(3, num_ands=64)
     assert aig.num_ands < kernels.KERNEL_CUTOFF
     assert not kernels.enabled_for(aig)
-
-
-@requires_numpy
-def test_list_mode_gate(monkeypatch):
-    from repro.aig import store
-
-    monkeypatch.setattr(kernels, "KERNEL_CUTOFF", 0)
-    aig = build_random_aig(3, num_ands=64)
-    assert kernels.enabled_for(aig)
-    monkeypatch.setattr(store, "HAVE_NUMPY", False)
-    listy = build_random_aig(3, num_ands=64)
-    assert not listy._f0c.numpy
-    assert not kernels.enabled_for(listy)
-
-
-@requires_numpy
-def test_python_backend_runs_scalar_path(monkeypatch):
-    # With the python backend the kernels must stay off even below
-    # cutoff; the pass still works and matches the numpy result.
-    monkeypatch.setattr(kernels, "KERNEL_CUTOFF", 0)
-    numpy_dump = _run(build_random_aig(5), "b", cutoff=0)[0]
-    backend.set_backend("python")
-    aig = build_random_aig(5)
-    assert not kernels.enabled_for(aig)
-    result = run_script(aig, "b", engine="gpu")
-    assert dump_aag(result.aig) == numpy_dump
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +110,6 @@ def test_python_backend_runs_scalar_path(monkeypatch):
 # ----------------------------------------------------------------------
 
 
-@requires_numpy
 @settings(max_examples=10, deadline=None)
 @given(seed=aig_seeds)
 def test_fanout_degrees_matches_fanout_lists(seed):
@@ -157,7 +119,6 @@ def test_fanout_degrees_matches_fanout_lists(seed):
     assert degrees.tolist() == [len(entry) for entry in lists]
 
 
-@requires_numpy
 @given(seed=aig_seeds)
 @settings(max_examples=10, deadline=None)
 def test_rewrite_batched_mffc_matches_mffc_size(seed):
@@ -174,7 +135,6 @@ def test_rewrite_batched_mffc_matches_mffc_size(seed):
     assert sizes.tolist() == expected
 
 
-@requires_numpy
 def test_rewrite_batched_mffc_partial_cones():
     # Cones smaller than the MFFC clamp the deletable set: the scalar
     # walk only recurses into cone members.
@@ -214,7 +174,6 @@ def test_rewrite_batched_mffc_partial_cones():
     ]
 
 
-@requires_numpy
 def test_rewrite_batched_mffc_empty_and_singletons():
     aig = build_random_aig(1, num_ands=20)
     nref = fanout_counts(aig)
@@ -228,7 +187,6 @@ def test_rewrite_batched_mffc_empty_and_singletons():
     assert sizes.tolist() == [1] * len(roots)
 
 
-@requires_numpy
 def test_refactor_survivor_keys_matches_facade_walk():
     aig = build_random_aig(23, num_ands=90)
     live = list(aig.and_vars())

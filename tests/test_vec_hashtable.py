@@ -1,48 +1,49 @@
-"""Differential tests for the NumPy hash-table engine.
+"""Differential tests for the batched hash-table kernels.
 
-The vectorized table (:class:`repro.parallel.vec.VecHashTable`) must be
-bit-identical to the scalar :class:`repro.parallel.hashtable.HashTable`:
-same resident values, same per-item probe counts, same final slot
-layout, same ``hashtable.*`` counters.  These tests drive both engines
-through crafted collision batches and randomized op mixes and compare
-everything.
+Every batched operation of :class:`repro.parallel.hashtable.HashTable`
+has a per-item loop (below :data:`repro.parallel.vec._SCALAR_CUTOFF`)
+and a whole-array path; both must give the same resident values, the
+same per-item probe counts, the same final slot layout and the same
+``hashtable.*`` counters.  These tests drive twin tables — one pinned
+to each path — through crafted collision batches and randomized op
+mixes and compare everything.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
 import pytest
 
-pytest.importorskip("numpy")
+from repro import observe
+from repro.parallel import vec
+from repro.parallel.hashtable import HashTable, NodeHashTable, _hash_key
 
-from repro import observe  # noqa: E402
-from repro.parallel import backend, vec  # noqa: E402
-from repro.parallel.hashtable import (  # noqa: E402
-    HashTable,
-    NodeHashTable,
-    _hash_key,
-)
-from repro.parallel.vec import VecHashTable  # noqa: E402
+#: ``_SCALAR_CUTOFF`` values pinning every batch to one path.
+PER_ITEM = 10**9
+WHOLE_ARRAY = 0
 
 
-@pytest.fixture(autouse=True)
-def _reset_backend():
-    yield
-    backend.set_backend(None)
+@contextmanager
+def _path(cutoff: int):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vec, "_SCALAR_CUTOFF", cutoff)
+        yield
 
 
-@pytest.fixture
-def force_vec(monkeypatch):
-    """Route even tiny batches through the vectorized paths."""
-    monkeypatch.setattr(vec, "_SCALAR_CUTOFF", 0)
-
-
-def _twin_tables(expected: int = 4) -> tuple[HashTable, VecHashTable]:
+def _twin_tables(expected: int = 4) -> tuple[HashTable, HashTable]:
     scalar = HashTable(expected=expected)
-    vector = VecHashTable(expected=scalar.capacity // 2)
-    assert scalar.capacity == vector.capacity
+    vector = HashTable(expected=expected)
     return scalar, vector
+
+
+def _apply(table, op, keys, values=None):
+    if op == "lookup":
+        return table.lookup_batch(keys)
+    if op == "insert":
+        return table.insert_batch(keys, values)
+    return table.update_batch(keys, values)
 
 
 def _colliding_keys(capacity: int, count: int) -> list[tuple[int, int]]:
@@ -59,15 +60,10 @@ def _colliding_keys(capacity: int, count: int) -> list[tuple[int, int]]:
 
 
 def _compare_batch(scalar, vector, op, keys, values=None):
-    if op == "lookup":
-        got_s = scalar.lookup_batch(keys)
-        got_v = vector.lookup_batch(keys)
-    elif op == "insert":
-        got_s = scalar.insert_batch(keys, values)
-        got_v = vector.insert_batch(keys, values)
-    else:
-        got_s = scalar.update_batch(keys, values)
-        got_v = vector.update_batch(keys, values)
+    with _path(PER_ITEM):
+        got_s = _apply(scalar, op, keys, values)
+    with _path(WHOLE_ARRAY):
+        got_v = _apply(vector, op, keys, values)
     assert got_s == got_v
     assert scalar.dump() == vector.dump()
     assert scalar.size == vector.size
@@ -80,7 +76,7 @@ def _compare_batch(scalar, vector, op, keys, values=None):
 # ----------------------------------------------------------------------
 
 
-def test_single_bucket_collision_batch(force_vec):
+def test_single_bucket_collision_batch():
     """All keys probe the same slot: probes must be 1, 2, 3, ..."""
     scalar, vector = _twin_tables(expected=4)
     keys = _colliding_keys(scalar.capacity, 6)
@@ -90,7 +86,7 @@ def test_single_bucket_collision_batch(force_vec):
     assert works == list(range(1, len(keys) + 1))
 
 
-def test_duplicate_keys_in_batch_first_wins(force_vec):
+def test_duplicate_keys_in_batch_first_wins():
     """Same key many times in one batch: the first value is resident."""
     scalar, vector = _twin_tables(expected=4)
     keys = [(9, 9)] * 5 + [(3, 4)] * 3
@@ -99,7 +95,7 @@ def test_duplicate_keys_in_batch_first_wins(force_vec):
     assert out == [10, 10, 10, 10, 10, 20, 20, 20]
 
 
-def test_update_batch_duplicate_keys_chain(force_vec):
+def test_update_batch_duplicate_keys_chain():
     """Duplicate update keys chain: each sees the previous one's value."""
     scalar, vector = _twin_tables(expected=4)
     _compare_batch(scalar, vector, "insert", [(1, 2)], [50])
@@ -111,7 +107,7 @@ def test_update_batch_duplicate_keys_chain(force_vec):
     assert out == [70, 90]
 
 
-def test_eviction_wraparound_near_full(force_vec):
+def test_eviction_wraparound_near_full():
     """Probe sequences that wrap past the end of the slot array."""
     scalar, vector = _twin_tables(expected=4)
     capacity = scalar.capacity
@@ -128,7 +124,7 @@ def test_eviction_wraparound_near_full(force_vec):
     _compare_batch(scalar, vector, "lookup", keys)
 
 
-def test_growth_mid_batch(force_vec):
+def test_growth_mid_batch():
     """One batch large enough to trigger several doublings."""
     scalar, vector = _twin_tables(expected=4)
     rng = random.Random(7)
@@ -139,7 +135,7 @@ def test_growth_mid_batch(force_vec):
     _compare_batch(scalar, vector, "lookup", keys)
 
 
-def test_empty_batches(force_vec):
+def test_empty_batches():
     scalar, vector = _twin_tables(expected=4)
     assert _compare_batch(scalar, vector, "insert", [], []) == ([], [])
     assert _compare_batch(scalar, vector, "update", [], []) == ([], [])
@@ -147,15 +143,18 @@ def test_empty_batches(force_vec):
 
 
 def test_scalar_cutoff_boundary():
-    """Batches just below/above the cutoff give identical results."""
+    """Batches just below/above the shipped cutoff match the loop."""
     cutoff = vec._SCALAR_CUTOFF
     for n in (cutoff - 1, cutoff, cutoff + 1):
-        scalar, vector = _twin_tables(expected=4)
+        scalar, shipped = _twin_tables(expected=4)
         rng = random.Random(n)
         keys = [(rng.randrange(200), rng.randrange(200)) for _ in range(n)]
         values = list(range(n))
-        _compare_batch(scalar, vector, "insert", keys, values)
-        _compare_batch(scalar, vector, "lookup", keys)
+        for op, args in (("insert", (keys, values)), ("lookup", (keys,))):
+            with _path(PER_ITEM):
+                expected = _apply(scalar, op, *args)
+            assert _apply(shipped, op, *args) == expected
+            assert shipped.dump() == scalar.dump()
 
 
 # ----------------------------------------------------------------------
@@ -175,8 +174,7 @@ def _counters(registry) -> dict[str, int]:
 def test_mixed_op_fuzz_differential(seed):
     """Random insert/update/lookup mixes: outputs, layout, counters."""
     rng = random.Random(seed)
-    scalar = HashTable(expected=rng.choice([4, 64, 1024]))
-    vector = VecHashTable(expected=scalar.capacity // 2)
+    scalar, vector = _twin_tables(expected=rng.choice([4, 64, 1024]))
     keyspace = rng.choice([8, 60, 400, 5000])
     ops = []
     for _ in range(rng.randrange(1, 12)):
@@ -191,64 +189,53 @@ def test_mixed_op_fuzz_differential(seed):
 
     outs = {}
     counters = {}
-    for name, table in (("python", scalar), ("numpy", vector)):
-        backend.set_backend(name)
-        observe.enable()
-        got = []
-        for op, keys, values in ops:
-            if op == "insert":
-                got.append(table.insert_batch(keys, values))
-            elif op == "update":
-                got.append(table.update_batch(keys, values))
-            else:
-                got.append(table.lookup_batch(keys))
-        _, registry = observe.disable()
-        outs[name] = got
-        counters[name] = _counters(registry)
+    for cutoff, table in ((PER_ITEM, scalar), (WHOLE_ARRAY, vector)):
+        with _path(cutoff):
+            observe.enable()
+            got = [_apply(table, *op) for op in ops]
+            _, registry = observe.disable()
+        outs[cutoff] = got
+        counters[cutoff] = _counters(registry)
 
-    assert outs["python"] == outs["numpy"]
+    assert outs[PER_ITEM] == outs[WHOLE_ARRAY]
     assert scalar.dump() == vector.dump()
-    assert counters["python"] == counters["numpy"]
+    assert counters[PER_ITEM] == counters[WHOLE_ARRAY]
+
+
+def _node_table_run(seed: int):
+    """One seeded seed/get_or_create session; everything observable."""
+    rng = random.Random(seed)
+    observe.enable()
+    table = NodeHashTable(expected=rng.choice([4, 256]))
+    next_var = [100]
+
+    def alloc(key0, key1):
+        next_var[0] += 1
+        return next_var[0]
+
+    outs = []
+    litspace = rng.choice([6, 50, 800])
+    m0 = rng.randrange(0, 50)
+    lits0 = [rng.randrange(litspace) for _ in range(m0)]
+    lits1 = [rng.randrange(litspace) for _ in range(m0)]
+    outs.append(table.seed_batch(lits0, lits1, list(range(500, 500 + m0))))
+    for _ in range(rng.randrange(1, 8)):
+        m = rng.randrange(0, rng.choice([8, 60, 900]))
+        pairs = [
+            (rng.randrange(litspace), rng.randrange(litspace))
+            for _ in range(m)
+        ]
+        outs.append(table.get_or_create_batch(pairs, alloc))
+    _, registry = observe.disable()
+    return outs, table._table.dump(), next_var[0], _counters(registry)
 
 
 @pytest.mark.parametrize("seed", range(60))
 def test_node_table_get_or_create_fuzz(seed):
-    """NodeHashTable seed/get_or_create batches across backends."""
-    results = []
-    for name in ("python", "numpy"):
-        backend.set_backend(name)
-        rng = random.Random(seed)
-        observe.enable()
-        table = NodeHashTable(expected=rng.choice([4, 256]))
-        next_var = [100]
-
-        def alloc(key0, key1):
-            next_var[0] += 1
-            return next_var[0]
-
-        outs = []
-        litspace = rng.choice([6, 50, 800])
-        m0 = rng.randrange(0, 50)
-        lits0 = [rng.randrange(litspace) for _ in range(m0)]
-        lits1 = [rng.randrange(litspace) for _ in range(m0)]
-        outs.append(
-            table.seed_batch(lits0, lits1, list(range(500, 500 + m0)))
-        )
-        for _ in range(rng.randrange(1, 8)):
-            m = rng.randrange(0, rng.choice([8, 60, 900]))
-            pairs = [
-                (rng.randrange(litspace), rng.randrange(litspace))
-                for _ in range(m)
-            ]
-            outs.append(table.get_or_create_batch(pairs, alloc))
-        _, registry = observe.disable()
-        results.append(
-            (outs, table._table.dump(), next_var[0], _counters(registry))
-        )
-
-    (outs_p, dump_p, alloc_p, counters_p) = results[0]
-    (outs_n, dump_n, alloc_n, counters_n) = results[1]
-    assert outs_p == outs_n
-    assert dump_p == dump_n
-    assert alloc_p == alloc_n
-    assert counters_p == counters_n
+    """NodeHashTable seed/get_or_create batches on both paths."""
+    with _path(PER_ITEM):
+        scalar = _node_table_run(seed)
+    with _path(WHOLE_ARRAY):
+        vector = _node_table_run(seed)
+    # (outputs, table layout, allocation count, hashtable.* counters)
+    assert scalar == vector
