@@ -657,6 +657,12 @@ class Aig:
                 if seen > self.num_vars:
                     raise ValueError("cycle in resolve map")
 
+        # Exact-size views: an out-of-range variable still raises
+        # IndexError, without a validating accessor call per visit.
+        size = self._f0c.size
+        fan0 = self._f0c.view[:size]
+        fan1 = self._f1c.view[:size]
+
         def build(lit: int) -> int:
             lit = resolve_lit(lit)
             root = lit_var(lit)
@@ -670,12 +676,12 @@ class Aig:
                 if var in var_map:
                     stack.pop()
                     continue
-                if not self.is_and(var):
+                if fan0[var] < 0:
                     raise ValueError(
                         f"reached non-AND unmapped variable {var}"
                     )
                 pending = []
-                for fanin in self.fanins(var):
+                for fanin in (fan0[var], fan1[var]):
                     fvar = lit_var(resolve_lit(fanin))
                     if fvar not in var_map:
                         pending.append(fvar)
@@ -683,8 +689,8 @@ class Aig:
                     stack.extend(pending)
                     continue
                 stack.pop()
-                f0 = resolve_lit(self.fanin0(var))
-                f1 = resolve_lit(self.fanin1(var))
+                f0 = resolve_lit(fan0[var])
+                f1 = resolve_lit(fan1[var])
                 n0 = lit_not_cond(var_map[lit_var(f0)], lit_compl(f0))
                 n1 = lit_not_cond(var_map[lit_var(f1)], lit_compl(f1))
                 var_map[var] = new.add_and(n0, n1)

@@ -150,13 +150,15 @@ def _resynthesize(
     aig: Aig, cones: list[ConeJob], machine: ParallelMachine
 ) -> None:
     """Resynthesize every cone; compute the gain lower bound (III-D)."""
-    # ``plan_resynthesis`` is a pure function of (table, leaf count),
-    # and the template AIG a pure function of the plan; the cache
-    # deduplicates the ISOP/factoring work *and* the template
-    # construction across the batch — identical plans, templates,
-    # works and gains, cheaper wall clock.  (One kernel thread per
-    # cone recomputes them on the real GPU, which is what the charged
-    # work units keep modeling.)  Templates are shared read-only:
+    # ``plan_resynthesis`` is a pure function of (table, leaf count)
+    # with its own process-wide cache, and the template AIG a pure
+    # function of the plan; this per-pass cache builds each template
+    # once per pass — identical plans, templates, works and gains,
+    # cheaper wall clock.  (One kernel thread per cone recomputes them
+    # on the real GPU, which is what the charged work units keep
+    # modeling.)  Templates are not kept across passes: building one
+    # counts ``strash.*`` observe counters, which must not depend on
+    # what ran earlier.  They are shared read-only within the pass:
     # every downstream stage only traverses them.
     plan_cache: dict[
         tuple[int, int], tuple[ResynPlan | None, Aig | None, int]

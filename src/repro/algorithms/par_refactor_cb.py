@@ -375,8 +375,9 @@ def _resynthesize(
 ) -> int:
     """Resynthesize the surviving cones; returns the pruned count.
 
-    Mirrors ``rf``'s resynthesis kernel (identical (table, leaf-count)
-    plans are deduplicated, wall-clock-only), with the ELF bound in
+    Mirrors ``rf``'s resynthesis kernel (plans come from the shared
+    plan cache, templates are built once per distinct (table,
+    leaf-count) per pass; wall-clock-only), with the ELF bound in
     front: a function with ``s`` essential support variables needs at
     least ``s - 1`` AND nodes, so cones whose deletable set is smaller
     are provably non-winning and skip planning entirely.

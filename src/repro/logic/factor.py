@@ -38,6 +38,10 @@ class FactorNode:
     * ``"lit"`` — an SOP literal (``payload`` holds it);
     * ``"and"`` / ``"or"`` — n-ary operation (``children``);
     * ``"const0"`` / ``"const1"`` — constants.
+
+    Immutable once built (``children`` is a tuple): trees inside cached
+    resynthesis plans (:func:`repro.logic.resyn.plan_resynthesis`) are
+    shared by every caller, so no node may change.
     """
 
     __slots__ = ("kind", "payload", "children")
@@ -50,7 +54,7 @@ class FactorNode:
     ) -> None:
         self.kind = kind
         self.payload = payload
-        self.children = children or []
+        self.children = tuple(children) if children else ()
 
     @staticmethod
     def lit(sop_literal: int) -> "FactorNode":

@@ -3,9 +3,10 @@
 Rewriting matches each 4-input cut function against a library indexed
 by NPN class (negation of inputs, permutation of inputs, negation of
 output).  For up to four variables exhaustive canonicalization is
-cheap: all ``2 * n! * 2^n`` transforms are enumerated through
-precomputed minterm maps and the lexicographically smallest truth table
-wins.
+cheap: all ``2 * n! * 2^n`` transforms are applied at once, as one
+NumPy gather through precomputed minterm maps, and the
+lexicographically smallest truth table wins.  Results are memoized
+per process, so each distinct table pays the search once.
 
 The transform bookkeeping follows one convention throughout:
 
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
+
+import numpy as np
 
 from repro.logic.truth import full_mask
 
@@ -64,6 +67,8 @@ def _minterm_maps(
 
     ``map[m]`` is the minterm of the original function that position
     ``m`` of the transformed table reads: ``scatter_perm(m) ^ phase``.
+    The list order (permutations lexicographic, phases ascending) is
+    the search order that breaks ties between equal candidates.
     """
     size = 1 << num_vars
     maps = []
@@ -82,11 +87,29 @@ def _minterm_maps(
 
 
 @lru_cache(maxsize=None)
+def _gather_plan(num_vars: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(maps, weights)`` arrays for the vectorized search.
+
+    ``maps`` is the ``(transforms, 2**num_vars)`` stack of
+    :func:`_minterm_maps`, in its order; ``weights[m] = 2**m`` turns
+    one gathered row of minterm bits back into a truth table.
+    """
+    maps = np.array(
+        [mapped for _, _, mapped in _minterm_maps(num_vars)], dtype=np.intp
+    ).reshape(-1, 1 << num_vars)
+    weights = np.left_shift(1, np.arange(1 << num_vars, dtype=np.int64))
+    return maps, weights
+
+
+@lru_cache(maxsize=None)
 def npn_canon(table: int, num_vars: int) -> NpnTransform:
     """Exact NPN-canonical representative of ``table``.
 
     Returns the lexicographically smallest truth table among all NPN
-    transforms, together with one transform achieving it.
+    transforms, together with one transform achieving it: the first
+    minimum in :func:`_minterm_maps` order, uncomplemented output
+    before complemented.  A miss costs one NumPy gather of the
+    table's minterm bits through every transform's minterm map.
     """
     if not 0 <= num_vars <= MAX_NPN_VARS:
         raise ValueError(
@@ -96,19 +119,20 @@ def npn_canon(table: int, num_vars: int) -> NpnTransform:
     mask = full_mask(num_vars)
     if table & ~mask:
         raise ValueError("truth table wider than the declared variable count")
-    size = 1 << num_vars
-    best: NpnTransform | None = None
-    for perm, phase, mapped in _minterm_maps(num_vars):
-        transformed = 0
-        for minterm in range(size):
-            if table >> mapped[minterm] & 1:
-                transformed |= 1 << minterm
-        for out_neg in (False, True):
-            candidate = transformed ^ mask if out_neg else transformed
-            if best is None or candidate < best.canon:
-                best = NpnTransform(candidate, perm, phase, out_neg, num_vars)
-    assert best is not None
-    return best
+    maps, weights = _gather_plan(num_vars)
+    bits = np.right_shift(table, np.arange(len(weights), dtype=np.int64)) & 1
+    transformed = bits[maps] @ weights
+    # Candidate 2*t is transform t as is, 2*t+1 its output complement;
+    # argmin returns the first minimum, the scalar search's strict-<
+    # tie-break.
+    candidates = np.empty(2 * len(transformed), dtype=np.int64)
+    candidates[0::2] = transformed
+    candidates[1::2] = transformed ^ mask
+    best = int(np.argmin(candidates))
+    perm, phase, _ = _minterm_maps(num_vars)[best >> 1]
+    return NpnTransform(
+        int(candidates[best]), perm, phase, bool(best & 1), num_vars
+    )
 
 
 def npn_apply(transform: NpnTransform, table: int) -> int:

@@ -5,10 +5,18 @@ parallel refactoring (paper, Section III-B: one GPU thread runs exactly
 this per identified cone).  Both polarities of the function are
 factored and the cheaper factored form wins, mirroring ABC's practice
 of resynthesizing whichever of f / f' factors better.
+
+A plan is a pure function of ``(table, num_vars, max_cubes)``, so
+:func:`plan_resynthesis` keeps one bounded process-wide LRU of plans
+that every refactoring call site shares; plans (and their factored
+trees) are therefore immutable once built.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+from repro import observe
 from repro.logic.factor import (
     FactorNode,
     count_factored_ands,
@@ -21,6 +29,11 @@ from repro.logic.truth import full_mask, tt_support
 
 class ResynPlan:
     """A chosen implementation for a cone function.
+
+    Immutable by contract: :func:`plan_resynthesis` hands the same
+    cached instance to every caller asking for the same function, so
+    neither the plan, its ``support`` list nor its ``tree`` may be
+    modified after construction.
 
     Attributes
     ----------
@@ -62,14 +75,37 @@ class ResynPlan:
 MAX_RESYN_CUBES = 128
 
 
+#: Distinct functions whose plans :func:`plan_resynthesis` keeps.
+PLAN_CACHE_SIZE = 256
+
+
 def plan_resynthesis(
     table: int, num_vars: int, max_cubes: int = MAX_RESYN_CUBES
 ) -> ResynPlan | None:
     """Factor ``table`` (trying both polarities) and report the plan.
 
     Returns None when both polarities exceed ``max_cubes`` product
-    terms — the cone is left untouched by the caller.
+    terms — the cone is left untouched by the caller.  Results come
+    from a process-wide LRU of :data:`PLAN_CACHE_SIZE` entries
+    (``plan_resynthesis.cache_info()`` / ``.cache_clear()``); a hit
+    returns the very plan object a miss built.
     """
+    if not observe.enabled:
+        return _cached_plan(table, num_vars, max_cubes)
+    misses = _cached_plan.cache_info().misses
+    plan = _cached_plan(table, num_vars, max_cubes)
+    if _cached_plan.cache_info().misses == misses:
+        observe.count("resyn.plan_cache.hits")
+    else:
+        observe.count("resyn.plan_cache.misses")
+    return plan
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _cached_plan(
+    table: int, num_vars: int, max_cubes: int
+) -> ResynPlan | None:
+    """The planning itself, memoized behind :func:`plan_resynthesis`."""
     support = tt_support(table, num_vars)
     pos_cover = isop(table, num_vars)
     neg_cover = isop(table ^ full_mask(num_vars), num_vars)
@@ -107,3 +143,7 @@ def build_plan(plan: ResynPlan, leaf_lits: list[int], add_and) -> int:
     """Materialize a plan over concrete leaf literals; returns root literal."""
     literal = factored_to_aig(plan.tree, leaf_lits, add_and)
     return literal ^ 1 if plan.output_neg else literal
+
+
+plan_resynthesis.cache_info = _cached_plan.cache_info
+plan_resynthesis.cache_clear = _cached_plan.cache_clear

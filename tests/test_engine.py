@@ -44,6 +44,8 @@ from repro.engine import (
     unregister_command,
     unregister_pass,
 )
+from repro.logic.npn import npn_canon
+from repro.logic.resyn import PLAN_CACHE_SIZE, plan_resynthesis
 from repro.parallel import backend
 from tests.conftest import build_random_aig
 
@@ -107,6 +109,60 @@ def test_golden_parity(run):
     counters = registry.snapshot()["counters"]
     for key, value in run["counters"].items():
         assert counters.get(key, 0) == value, key
+
+
+def _golden_run(case: str, script: str) -> dict:
+    (run,) = [
+        run
+        for run in _GOLDEN_RUNS
+        if (run["case"], run["script"], run["engine"])
+        == (case, script, "gpu")
+    ]
+    return run
+
+
+def _observed_runs(case: str) -> list[tuple[str, str, dict]]:
+    """``resyn2`` then ``rfc_resyn`` on ``case``: dump, time, counters."""
+    out = []
+    for script in ("resyn2", "rfc_resyn"):
+        observe.enable()
+        try:
+            result = run_script(
+                _case_aig(case).clone(), script, engine="gpu"
+            )
+        finally:
+            _, registry = observe.disable()
+        counters = registry.snapshot()["counters"]
+        golden_keys = _golden_run(case, script)["counters"]
+        out.append(
+            (
+                dump_aag(result.aig),
+                repr(result.modeled_time()),
+                {key: counters.get(key, 0) for key in golden_keys},
+            )
+        )
+    return out
+
+
+@pytest.mark.parametrize("case", ["mtm", "deep"])
+def test_results_independent_of_logic_cache_state(case):
+    """Warm and cold NPN/plan caches give bit-identical runs."""
+    _observed_runs(case)  # warm both process-wide caches
+    warm = _observed_runs(case)
+    plan_resynthesis.cache_clear()
+    npn_canon.cache_clear()
+    cold = _observed_runs(case)
+    assert warm == cold
+    for script, (dump, modeled, counters) in zip(
+        ("resyn2", "rfc_resyn"), cold
+    ):
+        run = _golden_run(case, script)
+        assert (dump, modeled, counters) == (
+            run["dump"],
+            run["modeled_time"],
+            run["counters"],
+        )
+    assert plan_resynthesis.cache_info().currsize <= PLAN_CACHE_SIZE
 
 
 def test_goldens_cover_both_engines():

@@ -2,8 +2,13 @@
 
 import random
 
+from repro import observe
 from repro.aig.aig import Aig
-from repro.logic.resyn import build_plan, plan_resynthesis
+from repro.logic.resyn import (
+    PLAN_CACHE_SIZE,
+    build_plan,
+    plan_resynthesis,
+)
 from repro.logic.truth import full_mask, simulate_cone
 
 
@@ -83,3 +88,30 @@ def test_est_ands_upper_bounds_build():
         leaves = [aig.add_pi() for _ in range(4)]
         build_plan(plan, leaves, aig.add_and)
         assert aig.num_ands <= plan.est_ands
+
+
+def test_plan_cache_counts_hits_and_misses():
+    plan_resynthesis.cache_clear()
+    observe.enable()
+    try:
+        first = plan_resynthesis(0xCA, 3)
+        second = plan_resynthesis(0xCA, 3)
+        plan_resynthesis(0x96, 3)
+    finally:
+        _, registry = observe.disable()
+    counters = registry.snapshot()["counters"]
+    assert second is first  # a hit returns the plan the miss built
+    assert counters["resyn.plan_cache.hits"] == 1
+    assert counters["resyn.plan_cache.misses"] == 2
+    info = plan_resynthesis.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+
+
+def test_plan_cache_is_bounded():
+    plan_resynthesis.cache_clear()
+    for table in range(PLAN_CACHE_SIZE + 40):
+        plan_resynthesis(table, 4)
+    assert plan_resynthesis.cache_info().currsize == PLAN_CACHE_SIZE
+    # Evicted entries are recomputed to an equal plan.
+    again = plan_resynthesis(0x0001, 4)
+    assert realize_plan(again, 4) == 0x0001

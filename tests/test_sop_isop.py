@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import observe
 from repro.logic.isop import isop, isop_verified, isop_with_dc
 from repro.logic.sop import (
     TRUE_CUBE,
@@ -20,7 +21,13 @@ from repro.logic.sop import (
     make_cube,
     make_cube_free,
 )
-from repro.logic.truth import full_mask
+from repro.logic.truth import (
+    full_mask,
+    tt_cofactor0,
+    tt_cofactor1,
+    tt_depends_on,
+    var_table,
+)
 
 
 def tables(num_vars: int):
@@ -168,3 +175,90 @@ def test_isop_xor_has_expected_cube_count():
     cover = isop(xor3, 3)
     assert len(cover) == 4
     assert cover_tt(cover, 3) == xor3
+
+
+# ----------------------------------------------------------------------
+# Per-call memo: parity with the memo-free recursion
+# ----------------------------------------------------------------------
+
+
+def _reference_isop(lower, upper, num_vars, var_limit):
+    """Memo-free Minato–Morreale recursion: the oracle for ``_isop``."""
+    if lower == 0:
+        return [], 0
+    mask = full_mask(num_vars)
+    if upper == mask:
+        return [frozenset()], mask
+    split = -1
+    for index in range(var_limit - 1, -1, -1):
+        if tt_depends_on(lower, index, num_vars) or tt_depends_on(
+            upper, index, num_vars
+        ):
+            split = index
+            break
+    lower0 = tt_cofactor0(lower, split, num_vars)
+    lower1 = tt_cofactor1(lower, split, num_vars)
+    upper0 = tt_cofactor0(upper, split, num_vars)
+    upper1 = tt_cofactor1(upper, split, num_vars)
+    cover0, table0 = _reference_isop(
+        lower0 & ~upper1, upper0, num_vars, split
+    )
+    cover1, table1 = _reference_isop(
+        lower1 & ~upper0, upper1, num_vars, split
+    )
+    rest_lower = (lower0 & ~table0) | (lower1 & ~table1)
+    cover_star, table_star = _reference_isop(
+        rest_lower, upper0 & upper1, num_vars, split
+    )
+    cover = [cube | {2 * split + 1} for cube in cover0]
+    cover += [cube | {2 * split} for cube in cover1]
+    cover += cover_star
+    var_tt = var_table(split, num_vars)
+    result = (table0 & ~var_tt) | (table1 & var_tt) | table_star
+    return cover, result
+
+
+@st.composite
+def bounded_functions(draw):
+    """``(lower, upper, num_vars)`` with ``lower ⊆ upper``, 1–12 vars."""
+    num_vars = draw(st.integers(min_value=1, max_value=12))
+    upper = draw(tables(num_vars))
+    lower = upper & draw(tables(num_vars))
+    return lower, upper, num_vars
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=bounded_functions())
+def test_isop_matches_memo_free_reference(case):
+    lower, upper, num_vars = case
+    for table in (lower, upper):
+        expected, _ = _reference_isop(table, table, num_vars, num_vars)
+        assert isop(table, num_vars) == expected
+    expected, _ = _reference_isop(lower, upper, num_vars, num_vars)
+    assert isop_with_dc(lower, upper, num_vars) == expected
+
+
+def test_returned_covers_do_not_leak_between_calls():
+    # 0x6996 (4-input XOR) and a 6-input majority-like table both hit
+    # the memo; a caller mutating one result must not see the change
+    # echoed by the next identical call.
+    for table, num_vars in ((0x6996, 4), (0xE8E8E880E8808000, 6)):
+        first = isop(table, num_vars)
+        expected = list(first)
+        first.append(frozenset({0}))
+        first[0] = frozenset({1})
+        assert isop(table, num_vars) == expected
+        lower = table & 0x5555555555555555
+        first = isop_with_dc(lower, table, num_vars)
+        expected = list(first)
+        first.clear()
+        assert isop_with_dc(lower, table, num_vars) == expected
+
+
+def test_memo_hits_are_counted_when_observed():
+    observe.enable()
+    try:
+        isop(0x6996, 4)
+    finally:
+        _, registry = observe.disable()
+    assert registry.snapshot()["counters"]["isop.memo_hits"] > 0
