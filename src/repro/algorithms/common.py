@@ -167,50 +167,29 @@ def collapse_into_ffcs(
     Raises ``AssertionError`` if two cones ever overlap — Theorem 1
     says they cannot.
     """
-    # Late import: the kernels module reaches back into the algorithm
-    # packages (seq_balance), which import this module at load time.
-    from repro.algorithms import kernels
-
     context = context_for(aig)
     drives_po = context.po_fanout_mask()
-    use_kernels = kernels.enabled_for(aig)
-    on_expand = None
-    if use_kernels:
-        # Column-native FFC test (docs/ARCHITECTURE.md, "Column-native
-        # passes"): instead of walking a Python fanout-adjacency per
-        # candidate, count how many of a variable's readers have joined
-        # the current cone (``reads``, maintained by the ``on_expand``
-        # hook of :func:`~repro.aig.cuts.reconv_cut`) and compare with
-        # its total reader count.  Every reader in the cone and every
-        # cone member's read deduplicate double edges identically, so
-        # the predicate decides exactly like the scalar list walk.
-        # Hot path: index via a plain list and the memoryview scalar
-        # twins — per-element ndarray indexing would dominate the walk.
-        degrees = context.fanout_degrees().tolist()
-        fan0_view = aig._f0c.view
-        fan1_view = aig._f1c.view
-        reads: dict[int, int] = {}
+    # FFC test by reader counts: a variable may join the cone when all
+    # of its live-AND readers already have (``reads``, maintained by
+    # the ``on_expand`` hook of :func:`~repro.aig.cuts.reconv_cut`,
+    # against its total reader count) and it drives no PO.  Readers and
+    # reads both count a double edge once.  Hot path: index via a plain
+    # list and the memoryview scalar twins — per-element ndarray
+    # indexing would dominate the walk.
+    degrees = context.fanout_degrees().tolist()
+    fan0_view = aig._f0c.view
+    fan1_view = aig._f1c.view
+    reads: dict[int, int] = {}
 
-        def expandable(var: int, cone: set[int]) -> bool:
-            return not drives_po[var] and reads.get(var, 0) == degrees[var]
+    def expandable(var: int, cone: set[int]) -> bool:
+        return not drives_po[var] and reads.get(var, 0) == degrees[var]
 
-        def on_expand(member: int) -> None:
-            v0 = fan0_view[member] >> 1
-            v1 = fan1_view[member] >> 1
-            reads[v0] = reads.get(v0, 0) + 1
-            if v1 != v0:
-                reads[v1] = reads.get(v1, 0) + 1
-
-    else:
-        fanouts = context.fanout_lists()
-
-        def expandable(var: int, cone: set[int]) -> bool:
-            if drives_po[var]:
-                return False
-            for reader in fanouts[var]:
-                if reader not in cone:
-                    return False
-            return True
+    def on_expand(member: int) -> None:
+        v0 = fan0_view[member] >> 1
+        v1 = fan1_view[member] >> 1
+        reads[v0] = reads.get(v0, 0) + 1
+        if v1 != v0:
+            reads[v1] = reads.get(v1, 0) + 1
 
     machine.launch_batch(
         "rf.fanout_index", backend.const_profile(1, max(aig.num_vars, 1))
@@ -238,8 +217,7 @@ def collapse_into_ffcs(
         works = []
         candidates: list[int] = []
         for root in frontier:
-            if on_expand is not None:
-                reads.clear()  # read counts are per-cone state
+            reads.clear()  # read counts are per-cone state
             cut = reconv_cut(
                 aig, root, limit,
                 expandable=expandable, on_expand=on_expand,
@@ -272,6 +250,5 @@ def collapse_into_ffcs(
         )
     if observe.enabled:
         observe.count("rf.rounds", rounds)
-    if use_kernels and observe.enabled:
         observe.count("kernels.rf_degree_cones", len(cones))
     return cones

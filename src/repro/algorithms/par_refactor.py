@@ -31,11 +31,12 @@ replacement step would cost.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro import observe
 from repro.aig.aig import Aig
 from repro.aig.cuts import _PAIR_TABLES
 from repro.aig.literals import lit_compl, lit_not_cond, lit_var, make_lit
-from repro.algorithms import kernels
 from repro.algorithms.common import (
     ConeJob,
     PassResult,
@@ -220,6 +221,32 @@ def _resynthesize(
     machine.kernel("rf.resynthesize", cones, process)
 
 
+def _survivor_keys(
+    aig: Aig, replaced_nodes: set[int]
+) -> dict[tuple[int, int], int]:
+    """Fanin pair -> variable of every surviving AND, by column sweep.
+
+    Survivors are the live ANDs not in ``replaced_nodes``, visited in
+    ascending id order (on a duplicate pair the later variable wins).
+    """
+    survivors = aig.live_and_array()
+    if replaced_nodes:
+        replaced = np.zeros(aig.num_vars, dtype=bool)
+        replaced[
+            np.fromiter(
+                replaced_nodes, dtype=np.int64, count=len(replaced_nodes)
+            )
+        ] = True
+        survivors = survivors[~replaced[survivors]]
+    fan0, fan1, _ = aig.arrays()
+    return dict(
+        zip(
+            zip(fan0[survivors].tolist(), fan1[survivors].tolist()),
+            survivors.tolist(),
+        )
+    )
+
+
 def _semi_sharing_refine(
     aig: Aig,
     cones: list[ConeJob],
@@ -239,15 +266,7 @@ def _semi_sharing_refine(
     replaced_nodes: set[int] = set()
     for job in kept:
         replaced_nodes.update(job.cut.cone)
-    if kernels.enabled_for(aig):
-        survivor_keys = kernels.refactor_survivor_keys(
-            aig, replaced_nodes
-        )
-    else:
-        survivor_keys = {}
-        for var in aig.and_vars():
-            if var not in replaced_nodes:
-                survivor_keys[aig.fanins(var)] = var
+    survivor_keys = _survivor_keys(aig, replaced_nodes)
 
     rejected = [
         job for job in cones if job.gain is not None and job.gain < 0

@@ -25,17 +25,16 @@ The pipeline:
    footprints, since overlapping reads are legal).
 2. **Prune + resynthesize**: each cone's deletable set is its
    cone-restricted MFFC (the nodes whose every reference dies with
-   the root — computed batched by
-   :func:`repro.algorithms.kernels.refactor_deleted_sets` above the
-   kernel cutoff).  An ELF-style gain bound (PAPERS.md) extends the
-   MFFC prune: any AND implementation of a function with ``s``
-   essential support variables needs at least ``s - 1`` nodes, so a
-   cone deleting fewer than that cannot win *without sharing* and
-   skips ISOP/factoring in the parallel stage.  Survivors are
-   resynthesized exactly like ``rf``; a depth guard (an exact DP over
-   the template) rejects any replacement that would raise the root's
-   level, which makes "never deeper than the input" a structural
-   guarantee of the pass.
+   the root — computed for all cones in one batched fixpoint by
+   :func:`repro.aig.mffc.cone_deletable`).  An ELF-style gain bound
+   (PAPERS.md) extends the MFFC prune: any AND implementation of a
+   function with ``s`` essential support variables needs at least
+   ``s - 1`` nodes, so a cone deleting fewer than that cannot win
+   *without sharing* and skips ISOP/factoring in the parallel stage.
+   Survivors are resynthesized exactly like ``rf``; a depth guard (an
+   exact DP over the template) rejects any replacement that would
+   raise the root's level, which makes "never deeper than the input"
+   a structural guarantee of the pass.
 3. **Resolve**: a deterministic commit-time conflict resolver orders
    the non-negative-gain candidates by (gain desc, root var asc) — a
    total order, so the outcome is independent of collection order —
@@ -65,11 +64,13 @@ both, plus equivalence and resolver determinism.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro import observe
 from repro.aig.aig import Aig
 from repro.aig.cuts import reconv_cut
 from repro.aig.literals import lit_var, make_lit
-from repro.algorithms import kernels
+from repro.aig.mffc import cone_deletable
 from repro.algorithms.common import AliasView, ConeJob, PassResult
 from repro.algorithms.dedup import dedup_and_dangling
 from repro.algorithms.seq_refactor import _try_replace, seq_refactor
@@ -77,8 +78,6 @@ from repro.commit import (
     CommitEngine,
     Footprint,
     RewritePlan,
-    deref_cone,
-    ref_cone_back,
     retire_unreachable,
 )
 from repro.engine.context import (
@@ -337,36 +336,27 @@ def _deletable_sets(
     """Fill ``job.deleted``: each cone's cone-restricted MFFC.
 
     Overlapping cones cannot delete their whole member set — a member
-    with readers outside the deletable set must survive.  The scalar
-    path runs :func:`~repro.commit.deref_cone` per
-    cone on the shared fanout counts (restored exactly afterwards);
-    the column path computes every set in one batched fixpoint.  Both
-    charge identical per-cone work, so the modeled time does not
-    depend on the path taken.
+    with readers outside the deletable set must survive.  Every set is
+    computed in one batched fixpoint over the pristine fanout counts
+    (:func:`~repro.aig.mffc.cone_deletable`), one lane per cone.
     """
     if not cones:
         return
-    context = context_for(aig)
     machine.launch_batch(
         "rfc.ref_index", backend.const_profile(1, max(aig.num_vars, 1))
     )
-    if kernels.enabled_for(aig):
-        nref = context.fanout_counts_array()
-        sets = kernels.refactor_deleted_sets(
-            aig,
-            nref,
-            [job.cut.root for job in cones],
-            [job.cut.cone for job in cones],
-        )
-    else:
-        counts = context.fanout_counts()
-        sets = []
-        for job in cones:
-            deleted = deref_cone(aig, job.cut.root, job.cut.cone, counts)
-            ref_cone_back(aig, deleted, counts)
-            sets.append(deleted)
-    for job, deleted in zip(cones, sets):
-        job.deleted = deleted
+    members, offsets, deleted = cone_deletable(
+        aig,
+        context_for(aig).fanout_counts_array(),
+        [job.cut.root for job in cones],
+        [job.cut.cone for job in cones],
+    )
+    kept = members[deleted].tolist()
+    ends = np.cumsum(np.add.reduceat(deleted, offsets[:-1], dtype=np.int64))
+    start = 0
+    for job, end in zip(cones, ends.tolist()):
+        job.deleted = set(kept[start:end])
+        start = end
     machine.launch("rfc.deref", [len(job.cut.cone) for job in cones])
 
 

@@ -25,11 +25,13 @@ afterwards.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro import observe
 from repro.aig.aig import Aig
 from repro.aig.cuts import enumerate_cuts_with_tables
 from repro.aig.literals import lit_var, make_lit
-from repro.algorithms import kernels
+from repro.aig.mffc import cone_deletable
 from repro.algorithms.common import (
     AliasView,
     PassResult,
@@ -79,7 +81,7 @@ def par_rewrite(
     min_gain = 0 if zero_gain else 1
 
     with observe.span("rw.match", "stage"):
-        candidates = _match_stage_vec(working, machine, min_gain)
+        candidates = _match_stage(working, machine, min_gain)
     observe.count("rw.candidates", len(candidates))
     with observe.span("rw.replace", "stage"):
         replaced, insert_works, host_work = _replace_stage(
@@ -132,7 +134,7 @@ def _bind_rwz(invocation: PassInvocation) -> list[PassResult]:
     return [first, second]
 
 
-def _match_stage_vec(
+def _match_stage(
     aig: Aig, machine: ParallelMachine, min_gain: int
 ) -> dict[int, tuple]:
     """Kernel: best rewriting candidate per node on the static graph.
@@ -148,10 +150,11 @@ def _match_stage_vec(
     carries composed truth tables and cone sets bottom-up
     (:func:`~repro.aig.cuts.enumerate_cuts_with_tables`), library
     matches are memoized per distinct (function, cut width), and the
-    MFFC walk uses a local decrement map instead of mutating/restoring
-    the shared counts.  Work units are charged exactly like the scalar
-    reference (one per node, ``CUT_EVAL_WORK`` per non-trivial cut)
-    and fed through the same ``rw.match`` kernel record.
+    MFFC sizes come from batched decrement-fixpoint sweeps
+    (:func:`~repro.aig.mffc.cone_deletable`) instead of per-item walks.
+    Work units are charged like the reference (one per node,
+    ``CUT_EVAL_WORK`` per non-trivial cut) and fed through the same
+    ``rw.match`` kernel record.
     """
     cuts, tables, cones = enumerate_cuts_with_tables(
         aig, REWRITE_CUT_SIZE, MAX_CUTS_PER_NODE
@@ -160,99 +163,11 @@ def _match_stage_vec(
         "rw.cut_enum",
         [len(cuts.get(var, ())) for var in aig.and_vars()],
     )
-    if kernels.enabled_for(aig):
-        return _match_select_batched(aig, machine, min_gain, cuts,
-                                     tables, cones)
-    nref = context_for(aig).fanout_counts()  # read-only here
-    fan0 = aig._fanin0
-    fan1 = aig._fanin1
-    candidates: dict[int, tuple] = {}
-    match_cache: dict[tuple[int, int], tuple] = {}
-    works: list[int] = []
-
-    for root in aig.and_vars():
-        work = 1
-        best = None
-        for cut, table, cone in zip(cuts[root], tables[root], cones[root]):
-            if len(cut) < 2:
-                continue
-            work += CUT_EVAL_WORK
-            if len(cone) > 64:
-                # The scalar cone walk rejects blown-up cones.
-                continue
-            key = (table, len(cut))
-            hit = match_cache.get(key)
-            if hit is None:
-                transform, template = match_function(table, list(cut))
-                hit = (transform, template, template.num_ands)
-                match_cache[key] = hit
-            transform, template, template_ands = hit
-            # The MFFC is a subset of the cone (root included, leaves
-            # excluded), so ``len(cone) - template_ands`` bounds the
-            # gain.  Ties never replace the incumbent, and a best below
-            # ``min_gain`` is discarded, so cuts whose bound cannot
-            # strictly beat the incumbent — or reach the threshold at
-            # all — can skip the walk without changing the outcome.
-            bound = len(cone) - template_ands
-            if bound < min_gain:
-                continue
-            if best is not None and bound <= best[3]:
-                continue
-            # MFFC size: nodes whose references all come from inside
-            # the cone — deref_cone without touching shared ``nref``.
-            deleted: set[int] = set()
-            dec: dict[int, int] = {}
-            stack = [root]
-            while stack:
-                var = stack.pop()
-                if var in deleted:
-                    continue
-                deleted.add(var)
-                for fvar in (fan0[var] >> 1, fan1[var] >> 1):
-                    count = dec.get(fvar, 0) + 1
-                    dec[fvar] = count
-                    if nref[fvar] == count and fvar in cone:
-                        stack.append(fvar)
-            est_gain = len(deleted) - template_ands
-            if best is None or est_gain > best[3]:
-                best = (list(cut), transform, template, est_gain)
-        if best is not None and best[3] >= min_gain:
-            candidates[root] = best
-        works.append(work)
-
-    # Same KernelRecord as the scalar ``machine.kernel`` call — the
-    # per-item results are all None there, so only the profile matters.
-    machine.launch("rw.match", works)
-    return candidates
-
-
-def _match_select_batched(
-    aig: Aig,
-    machine: ParallelMachine,
-    min_gain: int,
-    cuts: dict,
-    tables: dict,
-    cones: dict,
-) -> dict[int, tuple]:
-    """Column-native winner selection for the match stage.
-
-    Replaces the per-item Python MFFC walk of ``_match_stage_vec``
-    with one batched decrement-fixpoint sweep
-    (:func:`~repro.algorithms.kernels.rewrite_batched_mffc`).  Every
-    (root, cut) item whose gain bound reaches ``min_gain`` is sized;
-    the scalar loop sizes only items whose bound also beats the
-    incumbent best, but since the true gain never exceeds the bound, a
-    skipped item can never have been a new strict maximum — so taking
-    each root's **earliest strict running maximum** over the batched
-    gains reproduces the scalar winner (and its tie-breaks) exactly.
-    Works, library-match caching and the candidate order are charged
-    and built in the scalar scan order.
-    """
     nref = context_for(aig).fanout_counts_array()  # read-only here
     match_cache: dict[tuple[int, int], tuple] = {}
     works: list[int] = []
     # Per-root eligible items in scan order:
-    # (cut_list, transform, template, template_ands, bound, cone).
+    # (cut, transform, template, template_ands, bound, cone).
     per_root: list[tuple[int, list[tuple]]] = []
 
     for root in aig.and_vars():
@@ -263,7 +178,7 @@ def _match_select_batched(
                 continue
             work += CUT_EVAL_WORK
             if len(cone) > 64:
-                # The scalar cone walk rejects blown-up cones.
+                # The reference cone walk rejects blown-up cones.
                 continue
             key = (table, len(cut))
             hit = match_cache.get(key)
@@ -272,6 +187,9 @@ def _match_select_batched(
                 hit = (transform, template, template.num_ands)
                 match_cache[key] = hit
             transform, template, template_ands = hit
+            # The MFFC is a subset of the cone (root included, leaves
+            # excluded), so ``len(cone) - template_ands`` bounds the
+            # gain; a cut whose bound misses ``min_gain`` never wins.
             bound = len(cone) - template_ands
             if bound < min_gain:
                 continue
@@ -281,10 +199,12 @@ def _match_select_batched(
             per_root.append((root, eligible))
         works.append(work)
 
-    # Wave w sizes every root's w-th still-interesting item at once:
-    # per root the items stay in scan order across waves, and the
-    # bound-vs-incumbent prune uses the best settled by wave w - 1 —
-    # exactly the scalar control flow, batched across roots.
+    # Each root keeps its earliest strict running maximum of the gain
+    # over its items in scan order.  An item whose bound cannot beat
+    # the incumbent can never be a new strict maximum (the true gain
+    # never exceeds the bound), so it is not sized.  Wave w sizes every
+    # root's w-th still-interesting item at once, pruning against the
+    # incumbent settled by wave w - 1.
     best: dict[int, tuple] = {}
     active = per_root
     wave = 0
@@ -304,9 +224,10 @@ def _match_select_batched(
             if observe.enabled:
                 observe.count("kernels.rw_waves")
                 observe.count("kernels.rw_sized_items", len(batch_roots))
-            sizes = kernels.rewrite_batched_mffc(
+            _, offsets, deleted = cone_deletable(
                 aig, nref, batch_roots, batch_cones
             )
+            sizes = np.add.reduceat(deleted, offsets[:-1], dtype=np.int64)
             for (root, item), size in zip(batch_meta, sizes.tolist()):
                 est_gain = size - item[3]
                 incumbent = best.get(root)

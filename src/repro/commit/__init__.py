@@ -12,8 +12,8 @@ same discipline one replacement at a time, shared by the sequential
 passes and the serial lanes.
 
 Counters: ``commit.plans``, ``commit.bulk_nodes``,
-``commit.serial_replays``, ``commit.conflicts`` — excluded from
-scalar/vector parity like ``kernels.*``.
+``commit.serial_replays``, ``commit.conflicts``; the bulk/serial split
+is wall-clock bookkeeping, excluded from scalar/vector parity.
 """
 
 from repro.commit.engine import (

@@ -77,7 +77,7 @@ class InsertionSession:
     batch constructor, ``commit.serial_replays`` for nodes created one
     at a time.  The two paths produce the same ids in the same order
     (the :mod:`repro.parallel.vec` contract), so the split is
-    wall-clock-only and excluded from parity like ``kernels.*``.
+    wall-clock-only and excluded from scalar/vector parity.
     """
 
     __slots__ = ("aig", "table", "alloc", "alloc_batch")
@@ -121,10 +121,8 @@ class InsertionSession:
 
     def insert_round_arrays(self, l0, l1):
         """Array-native round for callers that already hold columns."""
-        from repro.parallel import vec
-
-        return vec.goc_batch_arrays(
-            self.table, l0, l1, self.alloc, self.alloc_batch
+        return self.table.get_or_create_arrays(
+            l0, l1, self.alloc, self.alloc_batch
         )
 
 

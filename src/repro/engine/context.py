@@ -1,7 +1,7 @@
 """Version-keyed derived-state cache for one AIG (``GraphContext``).
 
 Every optimization pass needs the same derived state — levels, fanout
-counts, fanout adjacency, the PO fanout mask, the topological order —
+counts, fanout degrees, the PO fanout mask, the topological order —
 and before the engine existed each pass recomputed all of it from
 scratch on entry *and* exit, even though a sequence hands the very same
 graph object from one pass to the next.  ``GraphContext`` memoizes that
@@ -12,7 +12,7 @@ state per AIG, keyed on the AIG's mutation counters
 * an exact version match is a **hit** — the cached value is returned;
 * a stale version whose *shape* version still matches means the graph
   only grew (appends never change existing rows), so levels, fanout
-  counts, fanout lists and the topological order are **extended** in
+  counts and the topological order are **extended** in
   place over the new id range instead of recomputed;
 * anything else (kill / revive / truncate / PO change where it
   matters) is a **miss** and recomputes through the raw functions of
@@ -29,8 +29,8 @@ list into the column, an extend appends/patches the column in place,
 and the cached value is the column's scalar twin (a ``memoryview``
 slice).  Refcount
 rewrites bump the AIG's ``_ref_version`` only — they never invalidate
-the structural views.  Fanout lists, the PO mask and the topological
-order remain plain Python lists cached on the context.
+the structural views.  Fanout degrees are an ndarray, the PO mask and
+the topological order plain Python lists, all cached on the context.
 
 **Cached values are shared, not copied.**  Callers must treat them as
 read-only, or restore them exactly (the dereference/re-reference
@@ -129,7 +129,6 @@ class GraphContext:
         "_levels",
         "_fanout_counts",
         "_fanout_degrees",
-        "_fanout_lists",
         "_po_mask",
         "_topo",
         "_depth",
@@ -143,7 +142,6 @@ class GraphContext:
         self._levels: tuple | None = None
         self._fanout_counts: tuple | None = None
         self._fanout_degrees: tuple | None = None
-        self._fanout_lists: tuple | None = None
         self._po_mask: tuple | None = None
         self._topo: tuple | None = None  # (key, num_vars, order)
         self._depth: tuple | None = None
@@ -306,48 +304,14 @@ class GraphContext:
         self.fanout_counts()
         return self.aig._nrefc.nparray()
 
-    def fanout_lists(self) -> list[list[int]]:
-        """Fanout adjacency, POs excluded (read-only, inner lists too)."""
-        aig = self.aig
-        key = (aig._version, aig._shape_version)
-        cached = self._fanout_lists
-        if cached is not None and cached[0] == key:
-            self._hit()
-            return cached[1]
-        if (
-            cached is not None
-            and cached[0][1] == aig._shape_version
-            and aig.num_vars > len(cached[1])
-        ):
-            fanouts = cached[1]
-            size = len(fanouts)
-            for _ in range(size, aig.num_vars):
-                fanouts.append([])
-            for var in range(size, aig.num_vars):
-                if aig._fanin0[var] < 0 or aig._dead[var]:
-                    continue
-                v0 = aig._fanin0[var] >> 1
-                v1 = aig._fanin1[var] >> 1
-                fanouts[v0].append(var)
-                if v1 != v0:
-                    fanouts[v1].append(var)
-            self._fanout_lists = (key, fanouts)
-            self._extend()
-            return fanouts
-        self._miss()
-        fanouts = traversal.fanout_lists(aig)
-        self._fanout_lists = (key, fanouts)
-        return fanouts
-
     def fanout_degrees(self):
         """Per-variable live-AND reader counts (int64 ndarray).
 
-        ``degrees[v] == len(fanout_lists()[v])`` for every variable:
-        POs excluded, a double edge (same node in both fanins) counts
-        once.  The column-native collapse kernel consumes these instead
-        of the Python adjacency lists — same derived state, same cache
-        key, same hit/miss accounting, a bincount sweep instead of
-        per-node list appends.  Read-only, like every derived value.
+        ``degrees[v] == len(traversal.fanout_lists(aig)[v])`` for every
+        variable: POs excluded, a double edge (same node in both
+        fanins) counts once.  The FFC test of the refactoring collapse
+        compares them with per-cone reader counts.  One bincount sweep;
+        read-only, like every derived value.
         """
         aig = self.aig
         key = (aig._version, aig._shape_version)
@@ -426,8 +390,8 @@ class GraphContext:
         ``clone`` must be a fresh :meth:`~repro.aig.aig.Aig.clone` of
         this context's AIG (the version counters carry over, keeping
         the copied entries valid).  Values are copied — levels and
-        refcounts into the clone's own columns, the inner fanout lists
-        as fresh lists — so in-place extension on either side never
+        refcounts into the clone's own columns, the rest as fresh
+        arrays/lists — so in-place extension on either side never
         leaks to the other.
         """
         forked = GraphContext(clone)
@@ -444,11 +408,6 @@ class GraphContext:
             forked._fanout_degrees = (
                 self._fanout_degrees[0],
                 self._fanout_degrees[1].copy(),
-            )
-        if self._fanout_lists is not None:
-            forked._fanout_lists = (
-                self._fanout_lists[0],
-                [list(entry) for entry in self._fanout_lists[1]],
             )
         if self._po_mask is not None:
             forked._po_mask = (self._po_mask[0], list(self._po_mask[1]))

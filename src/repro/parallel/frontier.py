@@ -59,6 +59,24 @@ def gather_unique(
     return out, len(items)
 
 
+def gather_unique_array(
+    items: np.ndarray, keep_mask: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Array form of :func:`gather_unique` for int64 var arrays.
+
+    ``keep_mask`` is a per-variable bool filter.  Result order
+    (first-seen), work and the ``frontier.*`` counters match
+    :func:`gather_unique`.
+    """
+    uniq, first = np.unique(items, return_index=True)
+    ordered = uniq[np.argsort(first, kind="stable")]
+    ordered = ordered[keep_mask[ordered]]
+    if observe.enabled:
+        observe.count("frontier.gathered", int(items.size))
+        observe.count("frontier.unique", int(ordered.size))
+    return ordered, int(items.size)
+
+
 def partition_by_flag(
     items: list[int], flag: Callable[[int], bool]
 ) -> tuple[list[int], list[int], int]:

@@ -522,6 +522,24 @@ class NodeHashTable:
             )
         return vec.get_or_create_batch(self, pairs, alloc, alloc_batch)
 
+    def get_or_create_arrays(self, lits0, lits1, alloc, alloc_batch=None):
+        """:meth:`get_or_create_batch` over two int64 literal arrays.
+
+        Same allocation order, probes and sanitizer report; returns
+        ``(literals, probe_works)`` as int64 ndarrays.
+        """
+        if sanitizer.enabled:
+            sanitizer.current().on_table_batch(
+                "get_or_create",
+                list(
+                    zip(
+                        np.minimum(lits0, lits1).tolist(),
+                        np.maximum(lits0, lits1).tolist(),
+                    )
+                ),
+            )
+        return vec.goc_batch_arrays(self, lits0, lits1, alloc, alloc_batch)
+
     def lookup_lit(self, lit0: int, lit1: int) -> tuple[int | None, int]:
         """Literal of an existing AND(lit0, lit1) or None, plus work."""
         key0, key1 = lit_pair_key(lit0, lit1)

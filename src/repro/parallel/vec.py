@@ -211,15 +211,16 @@ def goc_batch_arrays(node_table, lits0, lits1, alloc, alloc_batch=None):
     """
     n = lits0.shape[0]
     if n < _SCALAR_CUTOFF:
-        out = np.empty(n, dtype=np.int64)
-        works = np.empty(n, dtype=np.int64)
-        for index in range(n):
-            literal, probes = node_table.get_or_create(
-                int(lits0[index]), int(lits1[index]), alloc
-            )
-            out[index] = literal
-            works[index] = probes
-        return out, works
+        out = []
+        works = []
+        for lit0, lit1 in zip(lits0.tolist(), lits1.tolist()):
+            literal, probes = node_table.get_or_create(lit0, lit1, alloc)
+            out.append(literal)
+            works.append(probes)
+        return (
+            np.array(out, dtype=np.int64),
+            np.array(works, dtype=np.int64),
+        )
     table = node_table._table
     key0 = np.minimum(lits0, lits1)
     key1 = np.maximum(lits0, lits1)

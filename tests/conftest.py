@@ -48,7 +48,6 @@ def assert_equivalent(left: Aig, right: Aig, width: int = 256) -> None:
 #: Every size cutoff that picks a scalar loop or a whole-array kernel,
 #: as (module, attribute).  Results never depend on which side runs.
 SIZE_CUTOFFS = (
-    ("repro.algorithms.kernels", "KERNEL_CUTOFF"),
     ("repro.aig.aig", "_BATCH_CUTOFF"),
     ("repro.aig.aig", "_BULK_COMPACT_MIN"),
     ("repro.aig.store", "_BULK_MIN"),

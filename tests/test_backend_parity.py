@@ -10,7 +10,7 @@ modeled times.  Only wall-clock may differ.
 
 The rewriting match stage has one more reference: a direct
 per-(root, cut) evaluation, :func:`scalar_match_stage`, which
-``_match_stage_vec`` must reproduce candidate for candidate.
+``_match_stage`` must reproduce candidate for candidate.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.aig.cuts import enumerate_cuts
 from repro.aig.io_aiger import dump_aag
 from repro.aig.literals import make_lit
 from repro.algorithms.common import AliasView
-from repro.algorithms.par_rewrite import _match_stage_vec
+from repro.algorithms.par_rewrite import _match_stage
 from repro.algorithms.rewrite_lib import match_function
 from repro.algorithms.seq_rewrite import (
     CUT_EVAL_WORK,
@@ -120,7 +120,7 @@ def scalar_match_stage(
 ) -> dict[int, tuple]:
     """Best rewriting candidate per node, evaluated item by item.
 
-    The reference for ``par_rewrite._match_stage_vec``: every
+    The reference for ``par_rewrite._match_stage``: every
     (root, cut) item simulates its cone, matches the library and sizes
     its MFFC by dereferencing the shared fanout counts (restored
     exactly afterwards).  Returns ``{root: (leaves, transform,
@@ -184,9 +184,9 @@ def _match(stage, aig: Aig, min_gain: int):
 def test_match_stage_matches_scalar_reference(seed, size, min_gain):
     aig = build_random_aig(seed, num_ands=size)
     expected, reference = _match(scalar_match_stage, aig, min_gain)
-    shipped, machine = _match(_match_stage_vec, aig, min_gain)
+    shipped, machine = _match(_match_stage, aig, min_gain)
     with vector_paths():
-        forced, forced_machine = _match(_match_stage_vec, aig, min_gain)
+        forced, forced_machine = _match(_match_stage, aig, min_gain)
     assert shipped == expected
     assert forced == expected
     for run in (machine, forced_machine):

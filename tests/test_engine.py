@@ -214,19 +214,16 @@ def test_context_append_extends_all_caches():
     context = context_for(aig)
     context.levels()
     context.fanout_counts()
-    context.fanout_lists()
     context.topological_order()
     before = aig.num_vars
     aig.add_and(n1, x[2] ^ 1)  # guaranteed fresh: pair not strashed yet
     assert aig.num_vars == before + 1
     levels = context.levels()
     counts = context.fanout_counts()
-    fanouts = context.fanout_lists()
     order = context.topological_order()
-    assert context.counters["extends"] == 4
+    assert context.counters["extends"] == 3
     assert list(levels) == traversal.aig_levels(aig)
     assert list(counts) == traversal.fanout_counts(aig)
-    assert fanouts == traversal.fanout_lists(aig)
     assert order == traversal.topological_order(aig)
 
 
@@ -269,7 +266,7 @@ def test_context_po_version_dependence(small_aig):
 def test_context_fork_isolation(small_aig):
     context = context_for(small_aig)
     context.levels()
-    context.fanout_lists()
+    context.fanout_degrees()
     clone = clone_with_context(small_aig)
     forked = clone._graph_context
     assert isinstance(forked, GraphContext)
