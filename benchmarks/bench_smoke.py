@@ -57,6 +57,8 @@ DEFAULT_CASES: tuple[tuple[str, str], ...] = (
     # depth-heavy graphs; scripts/bench_report.py gates the pair.
     ("sqrt", "rf"),
     ("sqrt", "rfc"),
+    # The whole named script the refactoring kernels are tuned for.
+    ("sqrt", "rfc_resyn"),
 )
 
 #: Counters copied into each case (headline work indicators).

@@ -467,8 +467,10 @@ class Aig:
 
     def is_and(self, var: int) -> bool:
         """True when ``var`` is an AND node (live or dead)."""
-        self._check_var(var)
-        return self._f0c.view[var] >= 0
+        column = self._f0c
+        if not 0 <= var < column.size:
+            raise IndexError(f"variable {var} out of range")
+        return column.view[var] >= 0
 
     def is_dead(self, var: int) -> bool:
         """True when ``var`` was deleted by :meth:`mark_dead`."""
@@ -477,23 +479,21 @@ class Aig:
 
     def fanin0(self, var: int) -> int:
         """First (smaller) fanin literal of an AND variable."""
-        self._check_var(var)
-        lit = self._f0c.view[var]
-        if lit < 0:
-            raise ValueError(f"variable {var} is not an AND node")
-        return lit
+        return self.fanins(var)[0]
 
     def fanin1(self, var: int) -> int:
         """Second (larger) fanin literal of an AND variable."""
-        self._check_var(var)
-        lit = self._f1c.view[var]
-        if lit < 0:
-            raise ValueError(f"variable {var} is not an AND node")
-        return lit
+        return self.fanins(var)[1]
 
     def fanins(self, var: int) -> tuple[int, int]:
-        """Both fanin literals of an AND variable."""
-        return self.fanin0(var), self.fanin1(var)
+        """Both fanin literals of an AND variable (one range check)."""
+        column = self._f0c
+        if not 0 <= var < column.size:
+            raise IndexError(f"variable {var} out of range")
+        lit = column.view[var]
+        if lit < 0:
+            raise ValueError(f"variable {var} is not an AND node")
+        return lit, self._f1c.view[var]
 
     def and_vars(self) -> Iterator[int]:
         """Live AND variable ids in topological (= id) order.
@@ -915,7 +915,7 @@ class Aig:
             raise ValueError(f"literal {lit} references an unknown variable")
 
     def _check_var(self, var: int) -> None:
-        if var >= self._f0c.size or var < -self._f0c.size:
+        if not 0 <= var < self._f0c.size:
             raise IndexError(f"variable {var} out of range")
 
     def __repr__(self) -> str:

@@ -86,27 +86,35 @@ def reconv_cut(
     """
     if max_cut_size < 2:
         raise ValueError("max_cut_size must be at least 2")
+    # Fanin variables of each leaf (None: not an AND), read once per call.
+    pairs: dict[int, tuple[int, int] | None] = {}
     cone: set[int] = {root}
     if on_expand is not None:
         on_expand(root)
     leaves: set[int] = set()
-    for fanin in aig.fanins(root):
-        leaves.add(lit_var(fanin))
+    seen = {root}  # leaves | cone (the two stay disjoint)
+    new_leaves = [fanin >> 1 for fanin in aig.fanins(root)]
     work = 0
     while True:
+        for var in new_leaves:
+            leaves.add(var)
+            seen.add(var)
+            if var not in pairs:
+                pair = None
+                if aig.is_and(var):
+                    f0, f1 = aig.fanins(var)
+                    pair = (f0 >> 1, f1 >> 1)
+                pairs[var] = pair
         best_var = -1
         best_cost = 3  # any real expansion costs at most +1
         for var in leaves:
-            if not aig.is_and(var):
+            pair = pairs[var]
+            if pair is None:
                 continue
             if expandable is not None and not expandable(var, cone):
                 continue
             work += 1
-            cost = -1
-            for fanin in aig.fanins(var):
-                fvar = lit_var(fanin)
-                if fvar not in leaves and fvar not in cone:
-                    cost += 1
+            cost = (pair[0] not in seen) + (pair[1] not in seen) - 1
             if cost < best_cost or (cost == best_cost and var < best_var):
                 best_var = var
                 best_cost = cost
@@ -116,10 +124,7 @@ def reconv_cut(
         cone.add(best_var)
         if on_expand is not None:
             on_expand(best_var)
-        for fanin in aig.fanins(best_var):
-            fvar = lit_var(fanin)
-            if fvar not in cone:
-                leaves.add(fvar)
+        new_leaves = [fvar for fvar in pairs[best_var] if fvar not in cone]
     return CutResult(root, leaves, cone, work + len(cone))
 
 

@@ -28,7 +28,7 @@ from repro.aig.cuts import CutResult, reconv_cut
 from repro.aig.literals import lit_compl, lit_not_cond, lit_var
 from repro.aig.mffc import RefCounts
 from repro.engine.context import context_for, resolved_fanout_counts
-from repro.logic.resyn import ResynPlan
+from repro.logic.resyn import ResynPlan, build_plan, plan_resynthesis
 from repro.parallel import backend
 from repro.parallel.frontier import gather_unique
 from repro.parallel.machine import ParallelMachine
@@ -74,7 +74,12 @@ class AliasView:
     def fanins(self, var: int) -> tuple[int, int]:
         """Alias-resolved fanin literals of a live AND variable."""
         f0, f1 = self.aig.fanins(var)
-        return self.resolve(f0), self.resolve(f1)
+        alias = self.alias
+        if f0 >> 1 in alias:
+            f0 = self.resolve(f0)
+        if f1 >> 1 in alias:
+            f1 = self.resolve(f1)
+        return f0, f1
 
     def resolved_pos(self) -> list[int]:
         """Primary output literals after alias resolution."""
@@ -152,6 +157,35 @@ class ConeJob:
         self.template: Aig | None = None
         self.new_root: int | None = None
         self.deleted: set[int] | None = None
+
+
+TemplateHit = tuple[ResynPlan | None, Aig | None, int]
+
+
+def cone_template(
+    cache: dict[tuple[int, int], TemplateHit], table: int, num_leaves: int
+) -> TemplateHit:
+    """``(plan, template, template ANDs)`` of a cone function.
+
+    The template is the plan built over symbolic leaves (``(None, None,
+    0)`` on SOP blow-up).  ``rf``/``rfc`` keep one ``cache`` per pass,
+    so each template is built once per pass and shared read-only; the
+    charged work still models one GPU thread per cone.  Templates are
+    not kept across passes: building one counts ``strash.*`` observe
+    counters, which must not depend on what ran earlier.
+    """
+    key = (table, num_leaves)
+    hit = cache.get(key)
+    if hit is None:
+        plan = plan_resynthesis(table, num_leaves)
+        hit = (None, None, 0)
+        if plan is not None:
+            template = Aig("template")
+            pis = [template.add_pi() for _ in range(num_leaves)]
+            template.add_po(build_plan(plan, pis, template.add_and))
+            hit = (plan, template, template.num_ands)
+        cache[key] = hit
+    return hit
 
 
 def collapse_into_ffcs(

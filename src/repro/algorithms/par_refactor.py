@@ -41,6 +41,7 @@ from repro.algorithms.common import (
     ConeJob,
     PassResult,
     collapse_into_ffcs,
+    cone_template,
 )
 from repro.algorithms.dedup import dedup_and_dangling
 from repro.commit import CommitEngine, Footprint, RewritePlan
@@ -50,7 +51,6 @@ from repro.engine.registry import (
     register_command,
     register_pass,
 )
-from repro.logic.resyn import ResynPlan, build_plan, plan_resynthesis
 from repro.logic.truth import simulate_cone
 from repro.parallel import backend
 from repro.parallel.machine import ParallelMachine
@@ -151,30 +151,9 @@ def _resynthesize(
     aig: Aig, cones: list[ConeJob], machine: ParallelMachine
 ) -> None:
     """Resynthesize every cone; compute the gain lower bound (III-D)."""
-    # ``plan_resynthesis`` is a pure function of (table, leaf count)
-    # with its own process-wide cache, and the template AIG a pure
-    # function of the plan; this per-pass cache builds each template
-    # once per pass — identical plans, templates, works and gains,
-    # cheaper wall clock.  (One kernel thread per cone recomputes them
-    # on the real GPU, which is what the charged work units keep
-    # modeling.)  Templates are not kept across passes: building one
-    # counts ``strash.*`` observe counters, which must not depend on
-    # what ran earlier.  They are shared read-only within the pass:
-    # every downstream stage only traverses them.
-    plan_cache: dict[
-        tuple[int, int], tuple[ResynPlan | None, Aig | None, int]
-    ] = {}
+    plan_cache: dict = {}  # per pass, see :func:`cone_template`
     fan0 = aig._fanin0
     fan1 = aig._fanin1
-
-    def build_template(plan: ResynPlan, num_leaves: int) -> Aig:
-        # Template AIG: the new cone over symbolic leaves, linearized
-        # for one-node-per-round insertion.
-        template = Aig("template")
-        template_pis = [template.add_pi() for _ in range(num_leaves)]
-        root_lit = build_plan(plan, template_pis, template.add_and)
-        template.add_po(root_lit)
-        return template
 
     def process(job: ConeJob) -> tuple[None, int]:
         cut = job.cut
@@ -195,17 +174,9 @@ def _resynthesize(
             table = _PAIR_TABLES[index]
         else:
             table = simulate_cone(aig, make_lit(cut.root), leaves)
-        key = (table, len(leaves))
-        hit = plan_cache.get(key)
-        if hit is None:
-            plan = plan_resynthesis(table, len(leaves))
-            if plan is None:
-                hit = (None, None, 0)
-            else:
-                template = build_template(plan, len(leaves))
-                hit = (plan, template, template.num_ands)
-            plan_cache[key] = hit
-        plan, template, template_ands = hit
+        plan, template, template_ands = cone_template(
+            plan_cache, table, len(leaves)
+        )
         if plan is None:
             # SOP blow-up: cone filtered from replacement.
             job.gain = None

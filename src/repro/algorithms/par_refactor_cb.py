@@ -71,7 +71,12 @@ from repro.aig.aig import Aig
 from repro.aig.cuts import reconv_cut
 from repro.aig.literals import lit_var, make_lit
 from repro.aig.mffc import cone_deletable
-from repro.algorithms.common import AliasView, ConeJob, PassResult
+from repro.algorithms.common import (
+    AliasView,
+    ConeJob,
+    PassResult,
+    cone_template,
+)
 from repro.algorithms.dedup import dedup_and_dangling
 from repro.algorithms.seq_refactor import _try_replace, seq_refactor
 from repro.commit import (
@@ -91,7 +96,6 @@ from repro.engine.registry import (
     register_command,
     register_pass,
 )
-from repro.logic.resyn import ResynPlan, build_plan, plan_resynthesis
 from repro.logic.truth import simulate_cone, tt_support
 from repro.parallel import backend
 from repro.parallel.frontier import gather_unique
@@ -372,18 +376,9 @@ def _resynthesize(
     least ``s - 1`` AND nodes, so cones whose deletable set is smaller
     are provably non-winning and skip planning entirely.
     """
-    plan_cache: dict[
-        tuple[int, int], tuple[ResynPlan | None, Aig | None, int]
-    ] = {}
+    plan_cache: dict = {}  # per pass, see :func:`cone_template`
     pruned = 0
     levels = context_for(aig).levels()
-
-    def build_template(plan: ResynPlan, num_leaves: int) -> Aig:
-        template = Aig("template")
-        template_pis = [template.add_pi() for _ in range(num_leaves)]
-        root_lit = build_plan(plan, template_pis, template.add_and)
-        template.add_po(root_lit)
-        return template
 
     def template_depth(template: Aig, leaves: list[int]) -> int:
         """Exact post-commit level of the template's root.
@@ -418,17 +413,9 @@ def _resynthesize(
             pruned += 1
             job.gain = None
             return None, tt_work + len(leaves)
-        key = (table, len(leaves))
-        hit = plan_cache.get(key)
-        if hit is None:
-            plan = plan_resynthesis(table, len(leaves))
-            if plan is None:
-                hit = (None, None, 0)
-            else:
-                template = build_template(plan, len(leaves))
-                hit = (plan, template, template.num_ands)
-            plan_cache[key] = hit
-        plan, template, template_ands = hit
+        plan, template, template_ands = cone_template(
+            plan_cache, table, len(leaves)
+        )
         if plan is None:
             job.gain = None  # SOP blow-up: leave untouched
             return None, tt_work + len(leaves)

@@ -284,15 +284,6 @@ class GraphContext:
         self._fanout_counts = (key, counts)
         return counts
 
-    def levels_array(self):
-        """Int64 ndarray view of :meth:`levels` (column-native kernels).
-
-        Fills the cache through :meth:`levels` (same hit/miss counters)
-        and returns the level column's zero-copy ndarray view.
-        """
-        self.levels()
-        return self.aig._levelc.nparray()
-
     def fanout_counts_array(self):
         """Int64 ndarray view of :meth:`fanout_counts` (kernels).
 

@@ -8,6 +8,10 @@ with.  The implementation follows the classic GFACTOR scheme from MIS:
 * weak algebraic division;
 * literal factoring fallback when the quotient is a single cube.
 
+Covers are factored as packed cubes (:func:`repro.logic.sop.pack_cube`)
+with bit-sliced literal counts; the frozenset formulation is the test
+oracle in ``tests/refactor_oracles.py``.
+
 The result is a :class:`FactorNode` expression tree over the cover's
 variables; :func:`factored_to_aig` lowers the tree to AND-inverter
 logic (balanced n-ary decomposition) through any node-creation
@@ -17,17 +21,10 @@ callback, and :func:`count_factored_ands` predicts that node count.
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import reduce
+from operator import and_
 
-from repro.logic.sop import (
-    Cover,
-    Cube,
-    common_cube,
-    divide,
-    divide_by_cube,
-    is_cube_free,
-    literal_counts,
-    make_cube_free,
-)
+from repro.logic.sop import Cover, cube_literals, pack_cube
 
 
 class FactorNode:
@@ -128,90 +125,169 @@ def _flatten(children: list[FactorNode], kind: str) -> list[FactorNode]:
 
 def factor_cover(cover: Cover) -> FactorNode:
     """Factor a cover into a multi-level expression tree."""
+    return factor_cubes([pack_cube(cube) for cube in cover])
+
+
+def factor_cubes(cover: list[int]) -> FactorNode:
+    """:func:`factor_cover` over packed cubes (bit ``l`` = literal ``l``)."""
     if not cover:
         return FactorNode("const0")
-    if any(len(cube) == 0 for cube in cover):
+    if 0 in cover:
         return FactorNode("const1")
-    return _gfactor(list(cover))
+    return _gfactor(cover)
 
 
-def _cube_node(cube: Cube) -> FactorNode:
-    return FactorNode.and_([FactorNode.lit(lit) for lit in sorted(cube)])
+# ----------------------------------------------------------------------
+# GFACTOR over packed covers: ``d`` divides ``cube`` when
+# ``cube & d == d``, and the quotient is ``cube ^ d``.
+# ----------------------------------------------------------------------
 
 
-def _sop_node(cover: Cover) -> FactorNode:
+def literal_planes(cover: list[int]) -> tuple[list[int], int]:
+    """``(planes, repeated)``: bit ``l`` of ``planes[k]`` is bit ``k`` of
+    literal ``l``'s cube count; ``repeated`` masks counts of 2 or more."""
+    planes: list[int] = []
+    for carry in cover:
+        for index, plane in enumerate(planes):
+            planes[index] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            if carry:
+                planes.append(carry)
+    repeated = 0
+    for plane in planes[1:]:
+        repeated |= plane
+    return planes, repeated
+
+
+def most_frequent(planes: list[int], pool: int) -> int:
+    """Bit of ``pool``'s most frequent literal, the smallest on ties
+    (MSB-first plane walk, then the lowest surviving bit)."""
+    for plane in reversed(planes):
+        if pool & plane:
+            pool &= plane
+    return pool & -pool
+
+
+def common_cube(cover: list[int]) -> int:
+    """Largest cube dividing every cube of the cover (0 when empty)."""
+    return reduce(and_, cover) if cover else 0
+
+
+def make_cube_free(cover: list[int]) -> list[int]:
+    """Divide out the largest common cube."""
+    common = common_cube(cover)
+    return [cube ^ common for cube in cover] if common else list(cover)
+
+
+def divide_by_cube(cover: list[int], divisor: int) -> tuple[list, list]:
+    """``(quotient, remainder)`` of dividing a cover by one cube."""
+    quotient = []
+    remainder = []
+    for cube in cover:
+        if cube & divisor == divisor:
+            quotient.append(cube ^ divisor)
+        else:
+            remainder.append(cube)
+    return quotient, remainder
+
+
+def divide(cover: list[int], divisor: list[int]) -> tuple[list, list]:
+    """Weak division: ``cover = quotient * divisor + remainder`` with the
+    largest quotient, sorted by size and then by literal list."""
+    if not divisor:
+        raise ValueError("cannot divide by the empty (constant-false) cover")
+    if len(divisor) == 1:
+        return divide_by_cube(cover, divisor[0])
+    quotient = None
+    for div_cube in divisor:
+        partial = {
+            cube ^ div_cube for cube in cover if cube & div_cube == div_cube
+        }
+        quotient = partial if quotient is None else quotient & partial
+        if not quotient:
+            return [], list(cover)
+    product = {q_cube | d_cube for q_cube in quotient for d_cube in divisor}
+    remainder = [cube for cube in cover if cube not in product]
+    return sorted(quotient, key=_cube_key), remainder
+
+
+def _cube_key(cube: int) -> tuple[int, list[int]]:
+    return cube.bit_count(), cube_literals(cube)
+
+
+def _cube_node(cube: int) -> FactorNode:
+    literals = cube_literals(cube)
+    return FactorNode.and_([FactorNode.lit(lit) for lit in literals])
+
+
+def _sop_node(cover: list[int]) -> FactorNode:
     return FactorNode.or_([_cube_node(cube) for cube in cover])
 
 
-def _gfactor(cover: Cover) -> FactorNode:
+def _gfactor(cover: list[int]) -> FactorNode:
     if len(cover) == 1:
         return _cube_node(cover[0])
-    divisor = _quick_divisor(cover)
+    planes, repeated = literal_planes(cover)
+    divisor = _quick_divisor(cover, planes, repeated)
     if divisor is None:
         return _sop_node(cover)
     quotient, _ = divide(cover, divisor)
     if len(quotient) == 1:
-        return _literal_factor(cover, quotient[0] | _seed_cube(divisor))
+        candidates = quotient[0] | divisor[0]
+        return _literal_factor(cover, planes, repeated, candidates)
     quotient = make_cube_free(quotient)
     divisor_new, remainder = divide(cover, quotient)
     if not divisor_new:
         # Division by the cube-free quotient failed to make progress;
         # fall back to factoring out the best literal.
-        return _literal_factor(cover, _best_literal_cube(cover))
-    if is_cube_free(divisor_new):
-        quotient_tree = _gfactor(quotient)
-        divisor_tree = _gfactor(divisor_new)
-        product = FactorNode.and_([divisor_tree, quotient_tree])
-        if not remainder:
-            return product
-        return FactorNode.or_([product, _gfactor(remainder)])
-    return _literal_factor(cover, common_cube(divisor_new))
-
-
-def _seed_cube(divisor: Cover) -> Cube:
-    """A cube providing literal candidates when the quotient is trivial."""
-    return divisor[0] if divisor else frozenset()
-
-
-def _best_literal_cube(cover: Cover) -> Cube:
-    counts = literal_counts(cover)
-    best = max(counts, key=lambda lit: (counts[lit], -lit))
-    return frozenset({best})
-
-
-def _literal_factor(cover: Cover, candidates: Cube) -> FactorNode:
-    """Factor out the most frequent literal among ``candidates``."""
-    counts = literal_counts(cover)
-    pool = [lit for lit in candidates if counts.get(lit, 0) > 1]
-    if not pool:
-        pool = [lit for lit, count in counts.items() if count > 1]
-    if not pool:
-        return _sop_node(cover)
-    literal = max(pool, key=lambda lit: (counts[lit], -lit))
-    quotient, remainder = divide_by_cube(cover, frozenset({literal}))
-    product = FactorNode.and_([FactorNode.lit(literal), _gfactor(quotient)])
+        return _literal_factor(cover, planes, repeated, repeated)
+    common = common_cube(divisor_new)
+    if common:
+        return _literal_factor(cover, planes, repeated, common)
+    quotient_tree = _gfactor(quotient)
+    divisor_tree = _gfactor(divisor_new)
+    product = FactorNode.and_([divisor_tree, quotient_tree])
     if not remainder:
         return product
     return FactorNode.or_([product, _gfactor(remainder)])
 
 
-def _quick_divisor(cover: Cover) -> Cover | None:
+def _literal_factor(
+    cover: list[int], planes: list[int], repeated: int, candidates: int
+) -> FactorNode:
+    """Factor out the most frequent repeated literal among ``candidates``
+    (among all repeated literals when no candidate repeats)."""
+    pool = candidates & repeated or repeated
+    if not pool:
+        return _sop_node(cover)
+    bit = most_frequent(planes, pool)
+    quotient, remainder = divide_by_cube(cover, bit)
+    product = FactorNode.and_(
+        [FactorNode.lit(bit.bit_length() - 1), _gfactor(quotient)]
+    )
+    if not remainder:
+        return product
+    return FactorNode.or_([product, _gfactor(remainder)])
+
+
+def _quick_divisor(
+    cover: list[int], planes: list[int], repeated: int
+) -> list[int] | None:
     """A one-level-0 kernel of the cover, or None when none exists."""
-    counts = literal_counts(cover)
-    if not any(count > 1 for count in counts.values()):
+    if not repeated:
         return None
-    kernel = list(cover)
+    kernel = cover
     while True:
-        counts = literal_counts(kernel)
-        repeated = [lit for lit, count in counts.items() if count > 1]
-        if not repeated:
-            break
-        literal = max(repeated, key=lambda lit: (counts[lit], -lit))
-        kernel, _ = divide_by_cube(kernel, frozenset({literal}))
-        kernel = make_cube_free(kernel)
+        bit = most_frequent(planes, repeated)
+        kernel = make_cube_free(divide_by_cube(kernel, bit)[0])
         if len(kernel) <= 1:
             return None
-    return kernel if len(kernel) > 1 else None
+        planes, repeated = literal_planes(kernel)
+        if not repeated:
+            return kernel
 
 
 # ----------------------------------------------------------------------

@@ -20,10 +20,10 @@ from repro import observe
 from repro.logic.factor import (
     FactorNode,
     count_factored_ands,
-    factor_cover,
+    factor_cubes,
     factored_to_aig,
 )
-from repro.logic.isop import isop
+from repro.logic.isop import isop_cubes
 from repro.logic.truth import full_mask, tt_support
 
 
@@ -107,23 +107,23 @@ def _cached_plan(
 ) -> ResynPlan | None:
     """The planning itself, memoized behind :func:`plan_resynthesis`."""
     support = tt_support(table, num_vars)
-    pos_cover = isop(table, num_vars)
-    neg_cover = isop(table ^ full_mask(num_vars), num_vars)
+    pos_cover = isop_cubes(table, num_vars)
+    neg_cover = isop_cubes(table ^ full_mask(num_vars), num_vars)
     if min(len(pos_cover), len(neg_cover)) > max_cubes:
         return None
     if len(pos_cover) > max_cubes:
         return _plan_single(neg_cover, True, support)
     if len(neg_cover) > max_cubes:
         return _plan_single(pos_cover, False, support)
-    pos_tree = factor_cover(pos_cover)
-    neg_tree = factor_cover(neg_cover)
+    pos_tree = factor_cubes(pos_cover)
+    neg_tree = factor_cubes(neg_cover)
     pos_cost = count_factored_ands(pos_tree)
     neg_cost = count_factored_ands(neg_tree)
     # Work in probe-equivalent units: truth tables cost one unit per
     # 64-bit word, ISOP/factoring one unit per cube literal.
     work = (
-        sum(len(cube) + 1 for cube in pos_cover)
-        + sum(len(cube) + 1 for cube in neg_cover)
+        sum(cube.bit_count() + 1 for cube in pos_cover)
+        + sum(cube.bit_count() + 1 for cube in neg_cover)
         + max(1, (1 << num_vars) >> 6)
     )
     if neg_cost < pos_cost:
@@ -133,9 +133,9 @@ def _cached_plan(
 
 def _plan_single(cover, output_neg: bool, support: list[int]) -> ResynPlan:
     """Plan from one polarity when the other polarity's cover blew up."""
-    tree = factor_cover(cover)
+    tree = factor_cubes(cover)
     cost = count_factored_ands(tree)
-    work = sum(len(cube) + 1 for cube in cover)
+    work = sum(cube.bit_count() + 1 for cube in cover)
     return ResynPlan(tree, output_neg, cost, support, work)
 
 

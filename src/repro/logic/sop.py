@@ -2,12 +2,13 @@
 
 A *cube* (product term) is a frozenset of SOP literals; SOP literal
 ``2*v`` is variable ``v`` uncomplemented and ``2*v + 1`` complemented —
-the same packing as AIG literals, reused here for cube algebra.  A
-*cover* is a list of cubes (their disjunction).  The empty cube is the
-constant-true product; the empty cover is constant false.
+the same packing as AIG literals.  A *cover* is a list of cubes (their
+disjunction).  The empty cube is the constant-true product; the empty
+cover is constant false.
 
-These are the objects algebraic factoring (:mod:`repro.logic.factor`)
-divides and the ISOP generator (:mod:`repro.logic.isop`) produces.
+ISOP (:mod:`repro.logic.isop`) and factoring (:mod:`repro.logic.factor`)
+take and return these, but work on *packed* cubes: one int with bit
+``l`` set for SOP literal ``l`` (:func:`pack_cube`, :func:`unpack_cube`).
 """
 
 from __future__ import annotations
@@ -59,83 +60,27 @@ def cover_support(cover: Cover) -> set[int]:
     return {literal >> 1 for cube in cover for literal in cube}
 
 
-def literal_counts(cover: Cover) -> dict[int, int]:
-    """How many cubes each SOP literal appears in."""
-    counts: dict[int, int] = {}
-    for cube in cover:
-        for literal in cube:
-            counts[literal] = counts.get(literal, 0) + 1
-    return counts
+def pack_cube(cube: Cube) -> int:
+    """Packed form of a cube: bit ``l`` set for each SOP literal ``l``."""
+    packed = 0
+    for literal in cube:
+        packed |= 1 << literal
+    return packed
 
 
-def common_cube(cover: Cover) -> Cube:
-    """Largest cube dividing every cube of the cover."""
-    if not cover:
-        return TRUE_CUBE
-    common = set(cover[0])
-    for cube in cover[1:]:
-        common &= cube
-        if not common:
-            break
-    return frozenset(common)
+def cube_literals(packed: int) -> list[int]:
+    """SOP literals of a packed cube, ascending."""
+    literals = []
+    while packed:
+        low = packed & -packed
+        literals.append(low.bit_length() - 1)
+        packed ^= low
+    return literals
 
 
-def make_cube_free(cover: Cover) -> Cover:
-    """Divide out the largest common cube."""
-    common = common_cube(cover)
-    if not common:
-        return list(cover)
-    return [cube - common for cube in cover]
-
-
-def is_cube_free(cover: Cover) -> bool:
-    """True when no single literal divides every cube."""
-    return not common_cube(cover)
-
-
-def divide_by_cube(cover: Cover, divisor: Cube) -> tuple[Cover, Cover]:
-    """Algebraic division of a cover by a single cube.
-
-    Returns ``(quotient, remainder)`` with
-    ``cover = quotient * divisor + remainder`` (algebraically).
-    """
-    quotient: Cover = []
-    remainder: Cover = []
-    for cube in cover:
-        if divisor <= cube:
-            quotient.append(cube - divisor)
-        else:
-            remainder.append(cube)
-    return quotient, remainder
-
-
-def divide(cover: Cover, divisor: Cover) -> tuple[Cover, Cover]:
-    """Weak algebraic division of a cover by a multi-cube divisor.
-
-    Returns ``(quotient, remainder)`` such that
-    ``cover = quotient * divisor + remainder`` with the quotient being
-    the largest cover for which this identity holds algebraically.
-    """
-    if not divisor:
-        raise ValueError("cannot divide by the empty (constant-false) cover")
-    if len(divisor) == 1:
-        return divide_by_cube(cover, divisor[0])
-    quotient_sets: list[set[Cube]] = []
-    for div_cube in divisor:
-        partial, _ = divide_by_cube(cover, div_cube)
-        quotient_sets.append(set(partial))
-        if not partial:
-            return [], list(cover)
-    quotient = set.intersection(*quotient_sets)
-    if not quotient:
-        return [], list(cover)
-    product = {
-        frozenset(q_cube | d_cube)
-        for q_cube in quotient
-        for d_cube in divisor
-    }
-    remainder = [cube for cube in cover if cube not in product]
-    return sorted(quotient, key=_cube_key), remainder
+def unpack_cube(packed: int) -> Cube:
+    """The cube of a packed int (inverse of :func:`pack_cube`)."""
+    return frozenset(cube_literals(packed))
 
 
 def cover_to_string(cover: Cover, num_vars: int) -> str:

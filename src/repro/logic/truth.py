@@ -65,19 +65,19 @@ def tt_cofactor1(table: int, index: int, num_vars: int) -> int:
 
 
 def tt_depends_on(table: int, index: int, num_vars: int) -> bool:
-    """True when the function actually depends on ``x_index``."""
-    return tt_cofactor0(table, index, num_vars) != tt_cofactor1(
-        table, index, num_vars
+    """True when the function actually depends on ``x_index``.
+
+    One shift-compare against the cached :func:`var_table` mask: each
+    minterm with ``x_index = 0`` meets its partner ``2**index`` above.
+    """
+    return bool(
+        (table ^ (table >> (1 << index))) & ~var_table(index, num_vars)
     )
 
 
 def tt_support(table: int, num_vars: int) -> list[int]:
     """Indices of variables the function depends on."""
-    return [
-        index
-        for index in range(num_vars)
-        if tt_depends_on(table, index, num_vars)
-    ]
+    return [i for i in range(num_vars) if tt_depends_on(table, i, num_vars)]
 
 
 def tt_count_ones(table: int) -> int:
@@ -139,36 +139,36 @@ def simulate_cone(view, root_lit: int, leaves: list[int]) -> int:
     for position, leaf in enumerate(leaves):
         tables[leaf] = var_table(position, num_vars)
     mask = full_mask(num_vars)
-
-    def table_of(lit: int) -> int | None:
-        var = lit_var(lit)
-        table = tables.get(var)
-        if table is None:
-            return None
-        return table ^ mask if lit_compl(lit) else table
-
     root_var = lit_var(root_lit)
     if root_var not in tables:
+        pairs: dict[int, tuple[int, int]] = {}  # read once per node
         stack = [root_var]
         while stack:
             var = stack[-1]
             if var in tables:
                 stack.pop()
                 continue
-            if not view.is_and(var):
-                raise ValueError(
-                    f"cone of {root_var} reaches var {var} outside the cut"
-                )
-            f0, f1 = view.fanins(var)
-            t0 = table_of(f0)
-            t1 = table_of(f1)
+            pair = pairs.get(var)
+            if pair is None:
+                if not view.is_and(var):
+                    raise ValueError(
+                        f"cone of {root_var} reaches var {var} outside the cut"
+                    )
+                pair = pairs[var] = view.fanins(var)
+            f0, f1 = pair
+            t0 = tables.get(f0 >> 1)
+            t1 = tables.get(f1 >> 1)
             if t0 is None or t1 is None:
                 if t0 is None:
-                    stack.append(lit_var(f0))
+                    stack.append(f0 >> 1)
                 if t1 is None:
-                    stack.append(lit_var(f1))
+                    stack.append(f1 >> 1)
                 continue
             stack.pop()
+            if f0 & 1:
+                t0 ^= mask
+            if f1 & 1:
+                t1 ^= mask
             tables[var] = t0 & t1
     result = tables[root_var]
     return result ^ mask if lit_compl(root_lit) else result

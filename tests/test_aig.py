@@ -70,6 +70,29 @@ def test_fanins_raises_for_pi():
         aig.fanin0(a >> 1)
 
 
+def test_accessors_raise_index_and_value_errors():
+    aig = Aig()
+    a, b = aig.add_pi(), aig.add_pi()
+    node = aig.add_and(a, b) >> 1
+    size = aig.num_vars
+    accessors = (aig.fanins, aig.fanin0, aig.fanin1, aig.is_and)
+    for accessor in accessors:
+        # Out of range, negative ids included.
+        for var in (size, size + 7, -1, -size, -size - 1):
+            with pytest.raises(IndexError):
+                accessor(var)
+    for accessor in (aig.fanins, aig.fanin0, aig.fanin1):
+        # The constant and a PI have no fanins.
+        for var in (0, a >> 1):
+            with pytest.raises(ValueError):
+                accessor(var)
+    assert aig.fanins(node) == (aig.fanin0(node), aig.fanin1(node))
+    assert aig.fanins(node) == (a, b)
+    assert aig.is_and(node)
+    assert not aig.is_and(0)
+    assert not aig.is_and(a >> 1)
+
+
 def test_add_raw_and_bypasses_strash():
     aig = Aig()
     a, b = aig.add_pi(), aig.add_pi()

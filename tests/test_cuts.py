@@ -1,11 +1,16 @@
 """Unit tests for cut computation."""
 
+import random
+
 import pytest
 
 from repro.aig.aig import Aig
 from repro.aig.cuts import enumerate_cuts, reconv_cut
 from repro.aig.traversal import cone_nodes
+from repro.algorithms.common import AliasView
+from repro.engine.context import context_for
 from tests.conftest import build_random_aig
+from tests.refactor_oracles import oracle_reconv_cut
 
 
 def test_reconv_cut_of_simple_node():
@@ -116,3 +121,101 @@ def test_enumerate_cuts_rejects_k1():
     aig = build_random_aig(1, num_ands=10)
     with pytest.raises(ValueError):
         enumerate_cuts(aig, 1)
+
+
+# ----------------------------------------------------------------------
+# Parity with the facade-reading reference cut
+# ----------------------------------------------------------------------
+
+
+def _assert_same_cut(cut, ref):
+    assert cut.root == ref.root
+    assert cut.leaves == ref.leaves
+    # Same set operations in the same order: downstream frontier
+    # gathers iterate the leaf set, so its order must match too.
+    assert list(cut.leaves) == list(ref.leaves)
+    assert cut.cone == ref.cone
+    assert cut.work == ref.work
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_reconv_cut_matches_reference_on_random_graphs(seed):
+    aig = build_random_aig(seed, num_pis=10, num_ands=160)
+    for limit in (2, 3, 5, 8, 12):
+        for root in aig.and_vars():
+            _assert_same_cut(
+                reconv_cut(aig, root, limit),
+                oracle_reconv_cut(aig, root, limit),
+            )
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_reconv_cut_matches_reference_through_alias_view(seed):
+    aig = build_random_aig(seed, num_pis=8, num_ands=120)
+    view = AliasView(aig)
+    rng = random.Random(seed)
+    ands = list(aig.and_vars())
+    # Redirect some nodes to earlier literals (keeps the view acyclic)
+    # and kill some others: both change what the cut may cross.
+    for var in rng.sample(ands, 20):
+        view.set_alias(var, rng.randrange(2, 2 * var))
+    for var in rng.sample([v for v in ands if v not in view.alias], 10):
+        view.kill(var)
+    roots = [
+        var for var in ands if view.is_and(var) and var not in view.alias
+    ]
+    assert roots
+    for limit in (4, 8, 12):
+        for root in roots:
+            _assert_same_cut(
+                reconv_cut(view, root, limit),
+                oracle_reconv_cut(view, root, limit),
+            )
+
+
+def _collapse_hooks(aig, calls):
+    """The FFC ``expandable``/``on_expand`` pair of the ``rf`` collapse.
+
+    Same predicate as :func:`repro.algorithms.common.collapse_into_ffcs`
+    (all live readers already in the cone, no PO driven); every call is
+    logged to ``calls`` so the two cut implementations can be compared
+    call for call.
+    """
+    context = context_for(aig)
+    drives_po = context.po_fanout_mask()
+    degrees = context.fanout_degrees().tolist()
+    reads: dict[int, int] = {}
+
+    def expandable(var, cone):
+        calls.append(("expandable", var, len(cone)))
+        return not drives_po[var] and reads.get(var, 0) == degrees[var]
+
+    def on_expand(member):
+        calls.append(("on_expand", member))
+        f0, f1 = aig.fanins(member)
+        reads[f0 >> 1] = reads.get(f0 >> 1, 0) + 1
+        if f1 >> 1 != f0 >> 1:
+            reads[f1 >> 1] = reads.get(f1 >> 1, 0) + 1
+
+    return reads, expandable, on_expand
+
+
+@pytest.mark.parametrize("seed", [2, 5])
+def test_reconv_cut_matches_reference_with_ffc_hooks(seed):
+    aig = build_random_aig(seed, num_pis=10, num_ands=200)
+    shipped_calls: list = []
+    oracle_calls: list = []
+    shipped = _collapse_hooks(aig, shipped_calls)
+    oracle = _collapse_hooks(aig, oracle_calls)
+    for limit in (4, 12, aig.num_vars + 2):
+        for root in aig.and_vars():
+            shipped[0].clear()
+            oracle[0].clear()
+            cut = reconv_cut(
+                aig, root, limit, expandable=shipped[1], on_expand=shipped[2]
+            )
+            ref = oracle_reconv_cut(
+                aig, root, limit, expandable=oracle[1], on_expand=oracle[2]
+            )
+            _assert_same_cut(cut, ref)
+            assert shipped_calls == oracle_calls

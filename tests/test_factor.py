@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aig.aig import Aig
+from repro.benchgen.arith import isqrt
+from repro.engine import run_script
+from repro.logic import resyn
 from repro.logic.factor import (
     FactorNode,
     count_factored_ands,
@@ -11,8 +14,9 @@ from repro.logic.factor import (
     factored_to_aig,
 )
 from repro.logic.isop import isop
-from repro.logic.sop import cover_num_literals, make_cube
+from repro.logic.sop import cover_num_literals, cover_tt, make_cube
 from repro.logic.truth import full_mask, simulate_cone
+from tests.refactor_oracles import oracle_factor_cover, oracle_plan, tree_shape
 
 
 def tables(num_vars: int):
@@ -121,3 +125,95 @@ def test_to_string_renders():
     tree = factor_cover([make_cube([0, 2]), make_cube([0, 5])])
     text = tree.to_string()
     assert "a" in text and "+" in text
+
+
+# ----------------------------------------------------------------------
+# Parity with the frozenset GFACTOR oracle
+# ----------------------------------------------------------------------
+
+
+def _shape_or_error(factor, cover):
+    try:
+        return tree_shape(factor(cover))
+    except ValueError as error:  # both sides must fail alike
+        return ("error", type(error).__name__)
+
+
+@st.composite
+def random_cubes(draw, num_vars):
+    """A random cube: each variable absent, positive or negative."""
+    picks = draw(
+        st.lists(st.integers(0, 2), min_size=num_vars, max_size=num_vars)
+    )
+    return frozenset(
+        2 * var + (pick - 1) for var, pick in enumerate(picks) if pick
+    )
+
+
+@st.composite
+def isop_covers(draw):
+    """ISOP of the function of a random small cover, 1–12 inputs."""
+    num_vars = draw(st.integers(1, 12))
+    seed_cover = draw(st.lists(random_cubes(num_vars), max_size=10))
+    return isop(cover_tt(seed_cover, num_vars), num_vars)
+
+
+@st.composite
+def arbitrary_covers(draw):
+    """Covers no ISOP would produce: duplicates, contained cubes, …"""
+    num_vars = draw(st.integers(1, 8))
+    cubes = draw(st.lists(random_cubes(num_vars), max_size=14))
+    repeats = draw(st.lists(st.integers(0, 13), max_size=4))
+    return cubes + [cubes[i] for i in repeats if i < len(cubes)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cover=isop_covers())
+def test_factor_matches_oracle_on_isop_covers(cover):
+    assert _shape_or_error(factor_cover, cover) == _shape_or_error(
+        oracle_factor_cover, cover
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(cover=arbitrary_covers())
+def test_factor_matches_oracle_on_arbitrary_covers(cover):
+    assert _shape_or_error(factor_cover, cover) == _shape_or_error(
+        oracle_factor_cover, cover
+    )
+
+
+def _rfc_resyn_12_input_tables(monkeypatch) -> list[int]:
+    """Distinct 12-input functions ``rfc_resyn`` plans on ``isqrt(10)``."""
+    seen: dict[int, None] = {}
+    planner = resyn._cached_plan
+
+    def recording(table, num_vars, max_cubes):
+        if num_vars == 12:
+            seen[table] = None
+        return planner(table, num_vars, max_cubes)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(resyn, "_cached_plan", recording)
+        run_script(isqrt(10), "rfc_resyn", engine="gpu")
+    return list(seen)
+
+
+def test_plans_match_oracle_on_rfc_resyn_tables(monkeypatch):
+    tables_12 = _rfc_resyn_12_input_tables(monkeypatch)
+    assert len(tables_12) > 100
+    resyn.plan_resynthesis.cache_clear()
+    for table in tables_12:
+        plan = resyn.plan_resynthesis(table, 12)
+        expected = oracle_plan(table, 12)
+        if expected is None:
+            assert plan is None
+            continue
+        got = (
+            tree_shape(plan.tree),
+            plan.output_neg,
+            plan.est_ands,
+            plan.support,
+            plan.work,
+        )
+        assert got == expected

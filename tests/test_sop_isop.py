@@ -1,33 +1,39 @@
 """Unit and property tests for cube algebra and ISOP generation."""
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import observe
-from repro.logic.isop import isop, isop_verified, isop_with_dc
+from repro.logic.factor import (
+    common_cube,
+    divide,
+    divide_by_cube,
+    literal_planes,
+    make_cube_free,
+    most_frequent,
+)
+from repro.logic.isop import isop, isop_cubes, isop_with_dc
 from repro.logic.sop import (
     TRUE_CUBE,
-    common_cube,
     cover_num_literals,
     cover_support,
     cover_to_string,
     cover_tt,
     cube_tt,
-    divide,
-    divide_by_cube,
-    is_cube_free,
-    literal_counts,
     make_cube,
-    make_cube_free,
+    pack_cube,
+    unpack_cube,
 )
-from repro.logic.truth import (
-    full_mask,
-    tt_cofactor0,
-    tt_cofactor1,
-    tt_depends_on,
-    var_table,
-)
+from repro.logic.truth import full_mask, var_table
+from tests.refactor_oracles import oracle_isop as _reference_isop
+
+
+def packed(*cubes):
+    """A packed cover from literal lists."""
+    return [pack_cube(make_cube(literals)) for literals in cubes]
 
 
 def tables(num_vars: int):
@@ -55,56 +61,76 @@ def test_cover_tt_is_or_of_cubes():
     assert cover_tt(cover, 2) == 0b1110
 
 
+def test_pack_cube_round_trip():
+    assert pack_cube(make_cube([0, 3, 6])) == 0b1001001
+    assert unpack_cube(0b1001001) == frozenset({0, 3, 6})
+    assert pack_cube(TRUE_CUBE) == 0
+    assert unpack_cube(0) == TRUE_CUBE
+
+
 def test_literal_counts_and_support():
     cover = [make_cube([0, 2]), make_cube([0, 5])]
-    counts = literal_counts(cover)
-    assert counts[0] == 2
-    assert counts[2] == 1
+    planes, repeated = literal_planes([pack_cube(cube) for cube in cover])
+    # Literal 0 is counted twice (plane 1), literals 2 and 5 once.
+    assert planes == [0b100100, 0b1]
+    assert repeated == 0b1
     assert cover_support(cover) == {0, 1, 2}
     assert cover_num_literals(cover) == 4
 
 
+def test_literal_planes_count_and_rank():
+    # Literal 4 in three cubes, literals 0 and 2 in two: 4 wins, and
+    # among the two-count literals the smaller one wins the tie.
+    cover = packed([0, 4], [2, 4], [0, 2, 4], [6])
+    planes, repeated = literal_planes(cover)
+    counts = {
+        lit: sum(((plane >> lit) & 1) << k for k, plane in enumerate(planes))
+        for lit in range(8)
+    }
+    assert counts == {0: 2, 1: 0, 2: 2, 3: 0, 4: 3, 5: 0, 6: 1, 7: 0}
+    assert repeated == 0b10101
+    assert most_frequent(planes, repeated) == 1 << 4
+    assert most_frequent(planes, 0b101) == 1 << 0
+
+
 def test_common_cube_and_cube_free():
-    cover = [make_cube([0, 2]), make_cube([0, 4])]
-    assert common_cube(cover) == frozenset({0})
-    assert not is_cube_free(cover)
+    cover = packed([0, 2], [0, 4])
+    assert common_cube(cover) == pack_cube(frozenset({0}))
     free = make_cube_free(cover)
-    assert is_cube_free(free)
-    assert free == [frozenset({2}), frozenset({4})]
+    assert common_cube(free) == 0
+    assert free == packed([2], [4])
 
 
 def test_divide_by_cube():
     # F = abc + abd + e, divisor ab.
-    f = [make_cube([0, 2, 4]), make_cube([0, 2, 6]), make_cube([8])]
-    quotient, remainder = divide_by_cube(f, make_cube([0, 2]))
-    assert sorted(quotient) == sorted([frozenset({4}), frozenset({6})])
-    assert remainder == [frozenset({8})]
+    f = packed([0, 2, 4], [0, 2, 6], [8])
+    quotient, remainder = divide_by_cube(f, pack_cube(make_cube([0, 2])))
+    assert sorted(quotient) == sorted(packed([4], [6]))
+    assert remainder == packed([8])
 
 
 def test_weak_division_identity():
     # F = (a + b)(c + d) + e  expanded; divide by (c + d).
-    f = [
-        make_cube([0, 4]), make_cube([0, 6]),
-        make_cube([2, 4]), make_cube([2, 6]),
-        make_cube([8]),
-    ]
-    divisor = [make_cube([4]), make_cube([6])]
+    f = packed([0, 4], [0, 6], [2, 4], [2, 6], [8])
+    divisor = packed([4], [6])
     quotient, remainder = divide(f, divisor)
-    assert sorted(quotient) == sorted([frozenset({0}), frozenset({2})])
-    assert remainder == [frozenset({8})]
+    assert quotient == packed([0], [2])
+    assert remainder == packed([8])
     # Check F == Q*D + R over truth tables.
-    product = [q | d for q in quotient for d in divisor]
-    assert cover_tt(product + remainder, 5) == cover_tt(f, 5)
+    product = [unpack_cube(q | d) for q in quotient for d in divisor]
+    assert cover_tt(product + [unpack_cube(c) for c in remainder], 5) == (
+        cover_tt([unpack_cube(c) for c in f], 5)
+    )
 
 
 def test_divide_by_empty_cover_rejected():
     with pytest.raises(ValueError):
-        divide([make_cube([0])], [])
+        divide(packed([0]), [])
 
 
 def test_divide_no_common_quotient():
-    f = [make_cube([0]), make_cube([2])]
-    divisor = [make_cube([4]), make_cube([6])]
+    f = packed([0], [2])
+    divisor = packed([4], [6])
     quotient, remainder = divide(f, divisor)
     assert quotient == []
     assert remainder == f
@@ -149,7 +175,8 @@ def test_isop_realizes_function_6vars(table):
 @given(table=tables(4))
 def test_isop_is_irredundant(table):
     """Removing any cube changes the function."""
-    cover = isop_verified(table, 4)
+    cover = isop(table, 4)
+    assert cover_tt(cover, 4) == table
     for index in range(len(cover)):
         reduced = cover[:index] + cover[index + 1 :]
         assert cover_tt(reduced, 4) != table
@@ -182,40 +209,62 @@ def test_isop_xor_has_expected_cube_count():
 # ----------------------------------------------------------------------
 
 
-def _reference_isop(lower, upper, num_vars, var_limit):
-    """Memo-free Minato–Morreale recursion: the oracle for ``_isop``."""
-    if lower == 0:
-        return [], 0
-    mask = full_mask(num_vars)
-    if upper == mask:
-        return [frozenset()], mask
-    split = -1
-    for index in range(var_limit - 1, -1, -1):
-        if tt_depends_on(lower, index, num_vars) or tt_depends_on(
-            upper, index, num_vars
-        ):
-            split = index
-            break
-    lower0 = tt_cofactor0(lower, split, num_vars)
-    lower1 = tt_cofactor1(lower, split, num_vars)
-    upper0 = tt_cofactor0(upper, split, num_vars)
-    upper1 = tt_cofactor1(upper, split, num_vars)
-    cover0, table0 = _reference_isop(
-        lower0 & ~upper1, upper0, num_vars, split
-    )
-    cover1, table1 = _reference_isop(
-        lower1 & ~upper0, upper1, num_vars, split
-    )
-    rest_lower = (lower0 & ~table0) | (lower1 & ~table1)
-    cover_star, table_star = _reference_isop(
-        rest_lower, upper0 & upper1, num_vars, split
-    )
-    cover = [cube | {2 * split + 1} for cube in cover0]
-    cover += [cube | {2 * split} for cube in cover1]
-    cover += cover_star
-    var_tt = var_table(split, num_vars)
-    result = (table0 & ~var_tt) | (table1 & var_tt) | table_star
-    return cover, result
+def _fixed_12_input_tables():
+    """Deterministic 12-input functions: full, sparse and DC-bounded."""
+    rng = random.Random(12)
+    mask = full_mask(12)
+    xs = [var_table(index, 12) for index in range(12)]
+    majority3 = (xs[0] & xs[5]) | (xs[5] & xs[11]) | (xs[0] & xs[11])
+    parity4 = xs[1] ^ xs[4] ^ xs[7] ^ xs[10]
+    adder = (xs[0] & xs[1]) | ((xs[0] ^ xs[1]) & (xs[2] & xs[3] | xs[6]))
+    cases = [
+        (majority3, majority3),
+        (parity4, parity4),
+        (adder ^ xs[11], adder ^ xs[11]),
+        (majority3 & ~xs[8], majority3 | xs[2]),
+    ]
+    for _ in range(6):
+        upper = rng.getrandbits(1 << 12)
+        cases.append((upper, upper))
+        cases.append((upper & rng.getrandbits(1 << 12), upper))
+    # Sparse random: a random function of four of the twelve inputs.
+    chosen = [2, 3, 9, 11]
+    table = 0
+    for minterm in range(1 << 12):
+        index = sum(
+            ((minterm >> var) & 1) << k for k, var in enumerate(chosen)
+        )
+        if (0xB6E9 >> index) & 1:
+            table |= 1 << minterm
+    cases.append((table, table))
+    cases.append((table & ~xs[0], table | xs[6] & xs[7]))
+    return [(lower & mask, upper & mask) for lower, upper in cases]
+
+
+_CASES_12 = _fixed_12_input_tables()
+
+
+@pytest.mark.parametrize("index", range(len(_CASES_12)))
+def test_isop_matches_reference_at_12_inputs(index):
+    """Narrowed recursion vs the full-width one: covers and memo hits."""
+    lower, upper = _CASES_12[index]
+    memo = {}
+    expected, _ = _reference_isop(lower, upper, 12, 12, memo)
+    observe.enable()
+    try:
+        if lower == upper:
+            got = isop(lower, 12)
+        else:
+            got = isop_with_dc(lower, upper, 12)
+    finally:
+        _, registry = observe.disable()
+    assert got == expected
+    hits = registry.snapshot()["counters"].get("isop.memo_hits", 0)
+    assert hits == memo.get("hits", 0)
+    if lower == upper:
+        assert cover_tt(got, 12) == lower
+        packed_cover = isop_cubes(lower, 12)
+        assert [unpack_cube(cube) for cube in packed_cover] == got
 
 
 @st.composite
@@ -229,6 +278,11 @@ def bounded_functions(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(case=bounded_functions())
+@example(case=(*_CASES_12[0], 12))
+@example(case=(*_CASES_12[2], 12))
+@example(case=(*_CASES_12[3], 12))
+@example(case=(*_CASES_12[-1], 12))
+@example(case=(*_CASES_12[-2], 12))
 def test_isop_matches_memo_free_reference(case):
     lower, upper, num_vars = case
     for table in (lower, upper):

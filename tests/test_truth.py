@@ -121,6 +121,37 @@ def test_support_and_dependence_agree(table):
         assert (index in support) == tt_depends_on(table, index, 3)
 
 
+@pytest.mark.parametrize("num_vars", range(13))
+def test_support_matches_cofactor_definition(num_vars):
+    import random
+
+    rng = random.Random(num_vars)
+    mask = full_mask(num_vars)
+    xs = [var_table(index, num_vars) for index in range(num_vars)]
+    samples = [0, mask, *xs]
+    for _ in range(12):
+        samples.append(rng.getrandbits(1 << num_vars))
+        # Sparse support: a random function of a few of the inputs.
+        table = mask
+        for var in rng.sample(range(num_vars), min(3, num_vars)):
+            table &= xs[var] ^ (mask if rng.random() < 0.5 else 0)
+        if xs and rng.random() < 0.5:
+            table ^= xs[-1]
+        samples.append(table)
+    for table in samples:
+        expected = [
+            index
+            for index in range(num_vars)
+            if tt_cofactor0(table, index, num_vars)
+            != tt_cofactor1(table, index, num_vars)
+        ]
+        assert tt_support(table, num_vars) == expected
+        for index in range(num_vars):
+            assert tt_depends_on(table, index, num_vars) == (
+                index in expected
+            )
+
+
 def test_count_ones_and_constants():
     assert tt_count_ones(0b1011) == 3
     assert tt_is_const0(0)
