@@ -81,8 +81,8 @@ REPORTED_COUNTERS = (
     "engine.cache_extends",
     # Commit-layer throughput split: nodes landed through the bulk
     # column constructor vs one-at-a-time scalar allocation.  Reported
-    # (and watched by scripts/bench_report.py) but never gated — the
-    # split is wall-clock bookkeeping, not a QoR quantity.
+    # but never gated — the split is wall-clock bookkeeping, not a QoR
+    # quantity.
     "commit.bulk_nodes",
     "commit.serial_replays",
 )

@@ -59,14 +59,6 @@ GATED_COUNTERS = ("rf.rounds", "rfc.rounds")
 #: Format identifier of repro.experiments.scale documents.
 SCALE_FORMAT = "repro.bench-scale/1"
 
-#: Advisory ceiling on the commit layer's scalar-replay share.  Above
-#: this fraction of committed nodes landing one at a time (instead of
-#: through the bulk column constructor) the smoke lane prints a
-#: warning — never a failure, and deliberately not part of
-#: :data:`GATED_COUNTERS`: the split is wall-clock bookkeeping, not a
-#: QoR quantity.
-SERIAL_REPLAY_WARN_SHARE = 0.20
-
 
 def scale_report(
     document: dict[str, Any],
@@ -208,33 +200,6 @@ def compare(
     return failures, warnings, notes
 
 
-def serial_replay_warnings(current: dict[str, Any]) -> list[str]:
-    """Advisory check: bulk commits should dominate scalar replays.
-
-    A case whose scalar-replay share of committed nodes exceeds
-    :data:`SERIAL_REPLAY_WARN_SHARE` gets a warning so a silently
-    degrading bulk path is visible in CI logs.  Never a failure
-    (``--strict-wall`` does not apply).
-    """
-    warnings: list[str] = []
-    for case in current.get("cases", []):
-        counters = case.get("counters", {})
-        bulk = counters.get("commit.bulk_nodes", 0)
-        serial = counters.get("commit.serial_replays", 0)
-        total = bulk + serial
-        if not total:
-            continue
-        share = serial / total
-        if share > SERIAL_REPLAY_WARN_SHARE:
-            warnings.append(
-                f"{case['name']} [{case['script']}]: serial-replay "
-                f"share {share * 100:.0f}% ({serial}/{total} committed "
-                f"nodes) exceeds {SERIAL_REPLAY_WARN_SHARE * 100:.0f}% "
-                "— bulk commit path underused"
-            )
-    return warnings
-
-
 def refactor_dominance(
     current: dict[str, Any],
 ) -> tuple[list[str], list[str]]:
@@ -355,8 +320,6 @@ def main(argv: list[str] | None = None) -> int:
     failures.extend(pair_failures)
     for message in pair_lines:
         print(f"PAIR  {message}")
-    for message in serial_replay_warnings(current):
-        print(f"WARN  {message}")
     for message in notes:
         print(f"NOTE  {message}")
     for message in warnings:

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.aig.literals import (
     CONST0,
+    fold_and,
     lit_compl,
     lit_not_cond,
     lit_pair_key,
@@ -91,14 +92,14 @@ class Aig:
         self._po_names: list[str | None] = []
         self._strash = FlatStrash()
         # Mutation counters.  ``_version`` tracks *every* structural
-        # mutation (appends, kills, revives, truncations); it keys the
-        # derived-state caches of
-        # :class:`repro.engine.context.GraphContext`.  ``_shape_version``
-        # tracks only the destructive subset (kill/revive/truncate), so
-        # a cache whose version is stale but whose shape version is not
-        # knows the graph only *grew* and may extend in place instead of
-        # recomputing.  ``_po_version`` tracks the PO list, which
-        # :meth:`add_po`/:meth:`set_po` change without touching nodes.
+        # mutation (appends and kills); it keys the derived-state caches
+        # of :class:`repro.engine.context.GraphContext`.
+        # ``_shape_version`` tracks only the destructive subset (kills),
+        # so a cache whose version is stale but whose shape version is
+        # not knows the graph only *grew* and may extend in place
+        # instead of recomputing.  ``_po_version`` tracks the PO list,
+        # which :meth:`add_po`/:meth:`set_po` change without touching
+        # nodes.
         # ``_ref_version`` tracks rewrites of the refcount column only:
         # refcount refreshes patch ``_nrefc`` in place and never
         # invalidate the structural views (the shape/ref key split).
@@ -197,14 +198,9 @@ class Aig:
         self._check_lit(lit0)
         self._check_lit(lit1)
         f0, f1 = lit_pair_key(lit0, lit1)
-        if f0 == CONST0:
-            return CONST0
-        if f0 == 1:  # const-true fanin: AND reduces to the other literal
-            return f1
-        if f0 == f1:
-            return f0
-        if f0 == (f1 ^ 1):
-            return CONST0
+        folded = fold_and(f0, f1)
+        if folded is not None:
+            return folded
         # One combined probe instead of a get + setitem pair: ``slot``
         # is a live key match (possibly a dead node to rebind), ``free``
         # the insertion slot otherwise.  Nothing touches the table
@@ -261,7 +257,7 @@ class Aig:
             raise ValueError(
                 f"literal {lit} references an unknown variable"
             )
-        # Canonicalize and fold, in the scalar rule order.
+        # Canonicalize and fold, in fold_and's rule order.
         f0 = np.minimum(arr0, arr1)
         f1 = np.maximum(arr0, arr1)
         out = np.full(count, -1, dtype=np.int64)
@@ -535,12 +531,12 @@ class Aig:
         """Zero-copy NumPy views ``(fanin0, fanin1, dead)`` of the graph.
 
         The views alias the canonical column buffers directly — there
-        is no rebuild and no cache.  In-place mutations (dead-flag
-        patches from :meth:`mark_dead`/:meth:`revive`) are immediately
-        visible through an already-held view; appended rows are not
-        (the view's length is fixed at the call — take a fresh view),
-        and a view taken before a capacity growth keeps aliasing the
-        superseded buffer.  Callers must treat the views as read-only.
+        is no rebuild and no cache.  In-place mutations (the dead-flag
+        patches of :meth:`mark_dead`) are immediately visible through
+        an already-held view; appended rows are not (the view's length
+        is fixed at the call — take a fresh view), and a view taken
+        before a capacity growth keeps aliasing the superseded buffer.
+        Callers must treat the views as read-only.
         """
         return (
             self._f0c.nparray(),
@@ -572,45 +568,23 @@ class Aig:
         if self._strash.get(key) == var:
             del self._strash[key]
 
-    def truncate(self, num_vars: int) -> None:
-        """Physically remove all variables with id >= ``num_vars``.
+    def register_keys(self, variables) -> None:
+        """Re-register the strash keys of the live AND ``variables``.
 
-        Only safe for speculatively created nodes that nothing (no PO,
-        no surviving node) references yet — the rejection path of
-        evaluate-then-commit replacement.  Strash entries are released.
+        A key that is free or held by one of ``variables`` goes to the
+        first of them (in iteration order) that carries it; a key held
+        by any other node stays put — the strash effect of killing
+        ``variables`` and reviving them in order.
         """
-        if num_vars < 1 + self.num_pis:
-            raise ValueError("cannot truncate the constant or PI rows")
+        strash = self._strash
         fan0 = self._f0c.view
         fan1 = self._f1c.view
-        dead = self._deadc.view
-        removed = 0
-        for var in range(num_vars, self._f0c.size):
-            if fan0[var] >= 0:
-                key = (fan0[var], fan1[var])
-                if self._strash.get(key) == var:
-                    del self._strash[key]
-                if not dead[var]:
-                    removed += 1
-            if fan0[var] == PI_FANIN:
-                raise ValueError("cannot truncate primary inputs")
-        self._version += 1
-        self._shape_version += 1
-        self._live_ands -= removed
-        self._f0c.truncate(num_vars)
-        self._f1c.truncate(num_vars)
-        self._deadc.truncate(num_vars)
-
-    def revive(self, var: int) -> None:
-        """Undo :meth:`mark_dead` (used by speculative replacement)."""
-        if not self._deadc.view[var]:
-            return
-        self._version += 1
-        self._shape_version += 1
-        self._deadc.view[var] = False
-        self._live_ands += 1
-        key = lit_pair_key(self._f0c.view[var], self._f1c.view[var])
-        self._strash.setdefault(key, var)
+        keys = [(fan0[var], fan1[var]) for var in variables]
+        for var, key in zip(variables, keys):
+            if strash.get(key) == var:
+                del strash[key]
+        for var, key in zip(variables, keys):
+            strash.setdefault(key, var)
 
     def compact(
         self, resolve: dict[int, int] | None = None

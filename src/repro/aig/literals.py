@@ -64,3 +64,20 @@ def lit_pair_key(lit0: int, lit1: int) -> tuple[int, int]:
     if lit0 > lit1:
         return (lit1, lit0)
     return (lit0, lit1)
+
+
+def fold_and(key0: int, key1: int) -> int | None:
+    """Trivial-AND folding of a :func:`lit_pair_key` key, else None.
+
+    The rule every AND constructor applies before hashing: constant
+    fanins, ``x & x = x`` and ``x & !x = 0``.
+    """
+    if key0 == CONST0:
+        return CONST0
+    if key0 == CONST1:
+        return key1
+    if key0 == key1:
+        return key0
+    if key0 == (key1 ^ 1):
+        return CONST0
+    return None

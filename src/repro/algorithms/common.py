@@ -97,11 +97,6 @@ class AliasView:
         self.dead.add(var)
         self.aig.mark_dead(var)
 
-    def revive(self, var: int) -> None:
-        """Undo :meth:`kill` for a speculatively deleted variable."""
-        self.dead.discard(var)
-        self.aig.revive(var)
-
 
 @dataclass
 class PassResult:

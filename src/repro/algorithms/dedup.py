@@ -20,7 +20,13 @@ from __future__ import annotations
 
 from repro import observe
 from repro.aig.aig import Aig
-from repro.aig.literals import lit_compl, lit_not_cond, lit_pair_key, lit_var
+from repro.aig.literals import (
+    fold_and,
+    lit_compl,
+    lit_not_cond,
+    lit_pair_key,
+    lit_var,
+)
 from repro.engine.context import resolved_levels
 from repro.engine.registry import register_pass
 from repro.parallel import backend
@@ -100,12 +106,13 @@ def dedup_and_dangling(
                 if sanitizer.enabled:
                     guard.write(var, (var,))
                     guard.read(var, (lit_var(r0), lit_var(r1)))
-                folded = _fold(r0, r1)
+                key = lit_pair_key(r0, r1)
+                folded = fold_and(*key)
                 if folded is not None:
                     alias[var] = folded
                     aig.mark_dead(var)
                     continue
-                keys.append(lit_pair_key(r0, r1))
+                keys.append(key)
                 values.append(var)
                 positions.append(position)
             winners, probes_list = table.insert_batch(keys, values)
@@ -158,18 +165,6 @@ def _mutate_stale_level(
             if fvar != var and fvar in live_set:
                 levels[var] = levels[fvar]
                 return
-
-
-def _fold(r0: int, r1: int) -> int | None:
-    """Trivial-AND folding on resolved fanins; None when irreducible."""
-    key0, key1 = lit_pair_key(r0, r1)
-    if key0 == 0 or key0 == (key1 ^ 1):
-        return 0
-    if key0 == 1:
-        return key1
-    if key0 == key1:
-        return key0
-    return None
 
 
 def _remove_dangling(

@@ -4,14 +4,14 @@ This is the sequential half of the transactional layer: the commit
 discipline the seq passes (and the serial lanes of the parallel
 passes) use to land one replacement on an
 :class:`~repro.algorithms.common.AliasView` — dereference the
-cone-restricted MFFC, kill it, build the replacement through the
-strash, and either commit (transfer references, alias the root) or
-roll back bit-exactly (truncate the speculative nodes, revive and
-re-reference the cone).
+cone-restricted MFFC, count what the replacement would add to the
+strash with that cone dead, and only then either commit (kill the
+cone, append the counted nodes, transfer references, alias the root)
+or reject without having built anything (re-reference the cone).
 
 :func:`deref_cone` / :func:`ref_cone_back` are the reference-count
 halves of that transaction; :func:`apply_replacement` is the gated
-commit (gain / same-root / level-cap rejection with full rollback) and
+commit (gain / same-root / level-cap rejection before any build) and
 :func:`commit_replacement` the unconditional variant for callers that
 prove profitability before touching the graph (resubstitution).
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro import observe
-from repro.aig.literals import lit_var
+from repro.aig.literals import fold_and, lit_pair_key, lit_var
 from repro.aig.mffc import RefCounts
 from repro.verify import mutations
 
@@ -88,18 +88,19 @@ def apply_replacement(
     level_cap: dict[int, int] | None = None,
     flip_mutation: str | None = None,
 ) -> tuple[int | None, int]:
-    """Build one replacement and commit it if the gates pass.
+    """Count one replacement and build it only if the gates pass.
 
     ``deleted`` is the already-dereferenced cone
-    (:func:`deref_cone`'s result); ``build`` receives the graph's
-    ``add_and`` and returns the new root literal.  Returns
-    ``(gain_or_None, created)`` — ``None`` means the transaction rolled
-    back (nodes truncated, cone revived and re-referenced), leaving the
-    graph bit-identical to before the call.
+    (:func:`deref_cone`'s result); ``build`` receives an ``add_and``
+    and returns the new root literal.  Returns ``(gain_or_None,
+    created)``, ``created`` counted for rejected attempts too.
+    ``None`` means rejected: the cone is re-referenced and its strash
+    keys re-registered (:meth:`~repro.aig.aig.Aig.register_keys`), and
+    nothing else changes.
 
     Gates: ``gain < min_gain``, the new root resolving to the old root,
     and — when ``level_cap`` is given — the new root's cap exceeding
-    the old root's.  Created nodes record their own caps in place; a
+    the old root's.  Counted nodes record their own caps in place; a
     rejected attempt's stale entries are overwritten when the ids are
     reused.
 
@@ -108,53 +109,37 @@ def apply_replacement(
     the CEC gate exercises the shared replay path directly.
     """
     aig = view.aig
-    for var in deleted:
-        view.kill(var)
-
     snapshot = aig.num_vars
-    new_root = build(aig.add_and)
-    created = aig.num_vars - snapshot
+    new_root, pairs = _count_build(aig, deleted, build)
+    created = len(pairs)
     gain = len(deleted) - created
 
     too_deep = False
     if level_cap is not None:
-        # Created ids are contiguous and topological, so one ascending
+        # Counted ids are contiguous and topological, so one ascending
         # sweep fills their caps.
-        for var in range(snapshot, aig.num_vars):
-            f0, f1 = aig.fanins(var)
+        for var, (key0, key1) in enumerate(pairs, snapshot):
             level_cap[var] = 1 + max(
-                level_cap[lit_var(f0)], level_cap[lit_var(f1)]
+                level_cap[key0 >> 1], level_cap[key1 >> 1]
             )
         too_deep = level_cap[new_root >> 1] > level_cap[root]
 
     if gain < min_gain or (new_root >> 1) == root or too_deep:
-        # Reject: retire the speculative nodes, revive the dereferenced
-        # cone and restore its reference counts.
-        aig.truncate(snapshot)
-        for var in deleted:
-            view.revive(var)
         ref_cone_back(view, deleted, nref)
+        aig.register_keys(deleted)
         return None, created
 
-    # Commit: account references of the new nodes, transfer the root's.
-    while len(nref) < aig.num_vars:
-        nref.append(0)
-    for var in range(snapshot, aig.num_vars):
-        f0, f1 = aig.fanins(var)
-        nref[lit_var(f0)] += 1
-        nref[lit_var(f1)] += 1
+    for var in deleted:
+        view.kill(var)
+    add_and = aig.add_and
+    for key0, key1 in pairs:
+        add_and(key0, key1)
     if mutations.armed:
         if flip_mutation is not None and mutations.active(flip_mutation):
             new_root ^= 1
         if mutations.active("commit-replay-flip-root"):
             new_root ^= 1
-    new_root_var = new_root >> 1
-    nref[new_root_var] += nref[root]
-    nref[root] = 0
-    view.set_alias(root, new_root)
-    if observe.enabled:
-        observe.count("commit.plans")
-        observe.count("commit.serial_replays", created)
+    _commit(view, nref, root, snapshot, new_root)
     return gain, created
 
 
@@ -165,7 +150,7 @@ def commit_replacement(
     removed: set[int],
     build: Callable[[Callable[[int, int], int]], int],
 ) -> int:
-    """Unconditionally land one replacement (no gates, no rollback).
+    """Unconditionally land one replacement (no gates).
 
     For callers that establish profitability *before* mutating the
     graph (resubstitution checks its exact gain against the nominal
@@ -178,7 +163,42 @@ def commit_replacement(
         view.kill(var)
     snapshot = aig.num_vars
     new_root = build(aig.add_and)
-    created = aig.num_vars - snapshot
+    _commit(view, nref, root, snapshot, new_root)
+    return new_root
+
+
+def _count_build(aig, deleted: set[int], build):
+    """Dry-run ``build`` as if ``deleted`` were dead; changes nothing.
+
+    The counter mirrors ``Aig.add_and`` — :func:`fold_and`, then a
+    strash lookup that treats ``deleted`` as dead — and names the
+    ``k``-th new node ``num_vars + k``, the id the real build assigns.
+    Returns ``(new_root, pairs)``; ``pairs[k]`` is that node's key.
+    """
+    base = aig.num_vars
+    find_and = aig.find_and
+    fresh: dict[tuple[int, int], int] = {}  # key -> literal, in order
+
+    def count_and(lit0: int, lit1: int) -> int:
+        key = lit_pair_key(lit0, lit1)
+        folded = fold_and(*key)
+        if folded is not None:
+            return folded
+        if key in fresh:
+            return fresh[key]
+        hit = find_and(*key)
+        if hit is not None and (hit >> 1) not in deleted:
+            return hit
+        fresh[key] = lit = (base + len(fresh)) << 1
+        return lit
+
+    return build(count_and), list(fresh)
+
+
+def _commit(view, nref: RefCounts, root: int, snapshot: int, new_root):
+    """Commit tail: reference the nodes created since ``snapshot``,
+    move ``root``'s references to ``new_root`` and alias it."""
+    aig = view.aig
     while len(nref) < aig.num_vars:
         nref.append(0)
     for var in range(snapshot, aig.num_vars):
@@ -190,5 +210,4 @@ def commit_replacement(
     view.set_alias(root, new_root)
     if observe.enabled:
         observe.count("commit.plans")
-        observe.count("commit.serial_replays", created)
-    return new_root
+        observe.count("commit.serial_replays", aig.num_vars - snapshot)

@@ -14,7 +14,7 @@ state per AIG, keyed on the AIG's mutation counters
   only grew (appends never change existing rows), so levels, fanout
   counts and the topological order are **extended** in
   place over the new id range instead of recomputed;
-* anything else (kill / revive / truncate / PO change where it
+* anything else (a kill, or a PO change where it
   matters) is a **miss** and recomputes through the raw functions of
   :mod:`repro.aig.traversal`.
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import observe
-from repro.aig.literals import lit_pair_key
+from repro.aig.literals import fold_and, lit_pair_key
 from repro.parallel import vec
 from repro.verify import sanitizer
 
@@ -486,14 +486,9 @@ class NodeHashTable:
         node is resident.  Returns ``(literal, probe_work)``.
         """
         key0, key1 = lit_pair_key(lit0, lit1)
-        if key0 == 0:
-            return 0, 0
-        if key0 == 1:
-            return key1, 0
-        if key0 == key1:
-            return key0, 0
-        if key0 == (key1 ^ 1):
-            return 0, 0
+        folded = fold_and(key0, key1)
+        if folded is not None:
+            return folded, 0
         value, probes = self._table.lookup(key0, key1)
         if value is not None:
             return value << 1, probes

@@ -226,7 +226,8 @@ def goc_batch_arrays(node_table, lits0, lits1, alloc, alloc_batch=None):
     key1 = np.maximum(lits0, lits1)
     lits = np.full(n, -1, dtype=np.int64)
     probes = np.zeros(n, dtype=np.int64)
-    # Trivial-AND folding, in the scalar rule order.
+    # Trivial-AND folding: the array form of
+    # repro.aig.literals.fold_and, in the same rule order.
     lits[key0 == 0] = 0
     rest = lits == -1
     pick = rest & (key0 == 1)

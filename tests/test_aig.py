@@ -110,7 +110,7 @@ def test_find_and():
     assert aig.find_and(a, b ^ 1) is None
 
 
-def test_mark_dead_and_revive():
+def test_mark_dead_and_register_keys():
     aig, (a, b, c, ab, abc) = make_chain()
     var = ab >> 1
     aig.mark_dead(var)
@@ -120,9 +120,16 @@ def test_mark_dead_and_revive():
     fresh = aig.add_and(a, b)
     assert fresh != ab
     aig.mark_dead(fresh >> 1)
-    aig.revive(var)
-    assert not aig.is_dead(var)
-    assert aig.find_and(a, b) == ab
+    assert aig.find_and(a, b) is None
+    # Raw nodes: one claims the free key, while a key held by a node
+    # outside the registered set stays put.
+    ac = aig.add_and(a, c)
+    twin = aig.add_raw_and(a, b)
+    other = aig.add_raw_and(a, c)
+    aig.register_keys([twin >> 1, other >> 1])
+    assert aig.find_and(a, b) == twin
+    assert aig.find_and(a, c) == ac
+    assert aig.num_ands == 4
 
 
 def test_mark_dead_rejects_pi():
@@ -130,24 +137,6 @@ def test_mark_dead_rejects_pi():
     a = aig.add_pi()
     with pytest.raises(ValueError):
         aig.mark_dead(a >> 1)
-
-
-def test_truncate_removes_speculative_nodes():
-    aig, (a, b, c, ab, abc) = make_chain()
-    snapshot = aig.num_vars
-    spec = aig.add_and(a, c)
-    assert aig.num_vars == snapshot + 1
-    aig.truncate(snapshot)
-    assert aig.num_vars == snapshot
-    # The strash entry is gone; recreating yields a fresh node.
-    again = aig.add_and(a, c)
-    assert again >> 1 == snapshot
-
-
-def test_truncate_rejects_pi_range():
-    aig, _ = make_chain()
-    with pytest.raises(ValueError):
-        aig.truncate(1)
 
 
 def test_compact_drops_unreachable():

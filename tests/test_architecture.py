@@ -17,8 +17,8 @@ run scripts through ``repro.engine.run_script``.
 A second rule guards the transactional commit layer
 (:mod:`repro.commit`): pass modules describe graph changes as plans
 and let the engine / replay helpers mutate — they must not call the
-mutation primitives (``kill`` / ``revive`` / ``set_alias`` /
-``mark_dead`` / ``truncate`` / raw strash allocation) themselves.
+mutation primitives (``kill`` / ``set_alias`` / ``mark_dead`` /
+``register_keys`` / raw strash allocation) themselves.
 Documented exceptions are the modules that *are* the primitives or the
 sequential references (see :data:`MUTATION_ALLOWED`).
 
@@ -53,7 +53,7 @@ ALLOWED = (
 #: ``repro.commit`` (receiver-qualified, so plain locals named e.g.
 #: ``add_and`` handed out *by* the commit layer still match nothing).
 FORBIDDEN_MUTATION = re.compile(
-    r"\.(kill|revive|set_alias|mark_dead|truncate"
+    r"\.(kill|set_alias|mark_dead|register_keys"
     r"|add_and|add_raw_and|add_raw_and_batch|add_and_batch)\("
 )
 

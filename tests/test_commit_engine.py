@@ -5,8 +5,10 @@ Covers the pieces every pass now shares:
 * resolver semantics — total (gain, root) order, write-write and
   write-read conflict edges, input-permutation invariance;
 * the scalar replay gates of :func:`repro.commit.apply_replacement` —
-  min-gain rejection, level-cap (never-worse depth) rejection, and
-  bit-exact rollback;
+  min-gain rejection, level-cap (never-worse depth) rejection, and a
+  rejected candidate leaving the graph untouched (the differential
+  test against the build-then-rollback oracle is
+  ``tests/test_replay_count.py``);
 * :class:`repro.commit.InsertionSession` bulk-vs-scalar parity — the
   batch constructor and the per-item path must produce the same ids
   in the same order (only the ``commit.bulk_nodes`` /

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.aig.aig import Aig
 from repro.aig.literals import (
     CONST0,
     CONST1,
+    fold_and,
     is_const_lit,
     lit_compl,
     lit_not,
@@ -14,6 +16,7 @@ from repro.aig.literals import (
     lit_var,
     make_lit,
 )
+from repro.parallel.hashtable import NodeHashTable
 
 
 def test_constants():
@@ -69,3 +72,33 @@ def test_lit_pair_key_orders_commutatively():
     assert lit_pair_key(7, 4) == (4, 7)
     assert lit_pair_key(4, 7) == (4, 7)
     assert lit_pair_key(5, 5) == (5, 5)
+
+
+def test_fold_rule_shared_by_every_and_constructor():
+    """fold_and, Aig.add_and and NodeHashTable.get_or_create agree on
+    every literal pair over the constant and three inputs."""
+    aig = Aig("fold")
+    inputs = [aig.add_pi() for _ in range(3)]
+    literals = [CONST0, CONST1] + [
+        lit ^ compl for lit in inputs for compl in (0, 1)
+    ]
+    table = NodeHashTable()
+    for lit0 in literals:
+        for lit1 in literals:
+            folded = fold_and(*lit_pair_key(lit0, lit1))
+            allocated = []
+
+            def alloc(key0, key1, allocated=allocated):
+                allocated.append((key0, key1))
+                return aig.add_raw_and(key0, key1) >> 1
+
+            made, probes = table.get_or_create(lit0, lit1, alloc)
+            if folded is None:
+                assert lit_var(lit0) != lit_var(lit1)
+                assert min(lit0, lit1) > CONST1
+                assert aig.is_and(lit_var(aig.add_and(lit0, lit1)))
+                assert aig.is_and(lit_var(made)) and probes > 0
+            else:
+                assert aig.add_and(lit0, lit1) == folded
+                assert (made, probes) == (folded, 0)
+                assert allocated == []
